@@ -21,6 +21,7 @@ check: vet race
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRecv -fuzztime=10s -run='^$$' ./internal/rsp/
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=10s -run='^$$' ./internal/rsp/
+	$(GO) test -fuzz=FuzzServerHandle -fuzztime=10s -run='^$$' ./internal/ocd/
 	$(GO) test -fuzz=FuzzParseRepro -fuzztime=10s -run='^$$' ./internal/triage/
 	$(GO) test -fuzz=FuzzParseManifestLine -fuzztime=10s -run='^$$' ./internal/corpus/
 	$(GO) test -fuzz=FuzzDecodeCheckpoint -fuzztime=10s -run='^$$' ./internal/corpus/
@@ -40,19 +41,19 @@ daemon-smoke:
 # bench-fleet runs the fleet scaling/round-trip benchmark and records the
 # results in BENCH_fleet.json.
 bench-fleet:
-	./scripts/bench_fleet.sh
+	./scripts/bench.sh fleet
 
 # bench-trace runs the tracer-overhead benchmark (nop sink vs JSONL journal)
 # and records the results in BENCH_trace.json.
 bench-trace:
-	./scripts/bench_trace.sh
+	./scripts/bench.sh trace
 
 # bench-restore runs the restore-cost benchmark (full restoration vs the
 # snapshot/delta rung) and records the results in BENCH_restore.json.
 bench-restore:
-	./scripts/bench_restore.sh
+	./scripts/bench.sh restore
 
 # bench-tier runs the tiered-execution benchmark (emulation explore tier vs
 # an all-hardware fleet) and records the results in BENCH_tier.json.
 bench-tier:
-	./scripts/bench_tier.sh
+	./scripts/bench.sh tier

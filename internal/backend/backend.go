@@ -1,13 +1,21 @@
 // Package backend abstracts the execution substrate a fuzzing engine drives:
 // provisioning, boot and a link.Link transport for exec, coverage drain and
 // snapshot/restore, tagged with a capability class. Two implementations
-// exist: the classic hardware stack (the in-process debug server over the
-// board model, reached through ocd.ConnectDirect) and an adapter over
-// internal/emul's VM facilities. The engine composes its middleware stack
-// (fault injector, metrics, session, timing) on top of whatever transport
-// the backend connects, so watchdogs, restoration ladder and accounting work
-// identically on both substrates — only the cost model and the reachable
-// peripheral surface differ, which is exactly the tiered fleet's trade.
+// exist, and both speak the debug server's command semantics (the typed
+// methods of ocd.Server, written once):
+//
+//   - Hardware: the board model behind ocd.ConnectDirect, so every command
+//     is RSP-encoded, served by ocd.Server.handle and charged the adapter
+//     latency model.
+//   - Emulated: the same typed methods called in process against the VM's
+//     board through link.Wrap, charging one emul.OpCost per command, with
+//     Reset and PowerCycle swapped for the VM's image-reload reset.
+//
+// The engine composes its middleware stack (fault injector, metrics,
+// session, timing) on top of whatever transport the backend connects, so
+// watchdogs, restoration ladder and accounting work identically on both
+// substrates — only the cost model and the reachable peripheral surface
+// differ, which is exactly the tiered fleet's trade.
 package backend
 
 import (

@@ -1,13 +1,7 @@
 package backend
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-
 	"github.com/eof-fuzz/eof/internal/board"
-	"github.com/eof-fuzz/eof/internal/cov"
-	"github.com/eof-fuzz/eof/internal/cpu"
 	"github.com/eof-fuzz/eof/internal/emul"
 	"github.com/eof-fuzz/eof/internal/link"
 	"github.com/eof-fuzz/eof/internal/ocd"
@@ -81,233 +75,40 @@ func (b *emulBackend) Class() Class        { return Emul }
 func (b *emulBackend) Board() *board.Board { return b.vm.Board() }
 func (b *emulBackend) Provision() error    { return b.vm.Provision() }
 func (b *emulBackend) Boot() error         { return b.vm.Boot() }
-func (b *emulBackend) Connect() link.Link  { return &vmLink{vm: b.vm} }
 func (b *emulBackend) Close() error        { b.vm.Close(); return nil }
 
-// vmLink adapts VM facilities to the link.Link contract, mirroring the debug
-// server's semantics — liveness gating, error taxonomy, the vCovDrain
-// header protocol — so the engine's watchdogs, fallback latches and recovery
-// ladder behave identically on both substrates. Each command charges one
-// emul.OpCost to the shared clock in place of the adapter latency model.
-type vmLink struct {
+// Connect serves the debug server's typed command methods in process
+// against the VM's board, so liveness gating, the error taxonomy and the
+// vCovDrain header protocol are the probe's own and the engine's watchdogs,
+// fallback latches and recovery ladder behave identically on both
+// substrates. Each command charges one emul.OpCost to the shared clock in
+// place of the adapter latency model.
+func (b *emulBackend) Connect() link.Link {
+	probe := vmProbe{Server: ocd.NewServer(b.vm.Board(), ocd.Latency{}), vm: b.vm}
+	return link.Wrap(probe, func(_ link.Cmd, call func() error) error {
+		b.vm.Clock.Advance(emul.OpCost)
+		return call()
+	})
+}
+
+// vmProbe is the debug server over the VM's board, with the recovery
+// commands swapped for the VM's own.
+type vmProbe struct {
+	*ocd.Server
 	vm *emul.VM
-}
-
-func (l *vmLink) brd() *board.Board { return l.vm.Board() }
-
-func (l *vmLink) charge() { l.vm.Clock.Advance(emul.OpCost) }
-
-// live mirrors the debug server's liveness gate: commands against a powered-
-// off or dead core earn the timeout the watchdogs key on.
-func (l *vmLink) live() bool {
-	b := l.brd()
-	return b.State() == board.On && !b.Core().Dead()
-}
-
-func remote(code ocd.Code, err error) error {
-	return &ocd.RemoteError{Code: code, Msg: err.Error()}
-}
-
-func (l *vmLink) ReadMem(addr uint64, n int) ([]byte, error) {
-	l.charge()
-	if !l.live() {
-		return nil, ocd.ErrTimeout
-	}
-	data, err := l.brd().Mem().Read(addr, n)
-	if err != nil {
-		return nil, remote(ocd.CodeMem, err)
-	}
-	return data, nil
-}
-
-func (l *vmLink) WriteMem(addr uint64, data []byte) error {
-	l.charge()
-	if !l.live() {
-		return ocd.ErrTimeout
-	}
-	if err := l.brd().Mem().Write(addr, data); err != nil {
-		return remote(ocd.CodeMem, err)
-	}
-	return nil
-}
-
-func (l *vmLink) SetBreakpoint(addr uint64) error {
-	l.charge()
-	if !l.live() {
-		return ocd.ErrTimeout
-	}
-	if err := l.brd().Core().SetBreakpoint(addr); err != nil {
-		return remote(ocd.CodeBP, err)
-	}
-	return nil
-}
-
-func (l *vmLink) ClearBreakpoint(addr uint64) error {
-	l.charge()
-	if !l.live() {
-		return ocd.ErrTimeout
-	}
-	l.brd().Core().ClearBreakpoint(addr)
-	return nil
-}
-
-func (l *vmLink) Continue(budget int64) (cpu.Stop, error) {
-	l.charge()
-	if !l.live() {
-		return cpu.Stop{}, ocd.ErrTimeout
-	}
-	if budget <= 0 {
-		budget = 2_000_000
-	}
-	return l.brd().Core().Continue(budget), nil
 }
 
 // Reset and PowerCycle both map to the emulation tier's entire recovery
 // ladder: reload the pristine image from the host file and reboot. It cannot
 // fail the way a hardware reflash can, so rung escalation never happens here.
-func (l *vmLink) Reset() error      { l.charge(); return l.reload() }
-func (l *vmLink) PowerCycle() error { l.charge(); return l.reload() }
+func (p vmProbe) Reset() error      { return p.reload() }
+func (p vmProbe) PowerCycle() error { return p.reload() }
 
-func (l *vmLink) reload() error {
-	if err := l.vm.Reset(); err != nil {
-		if errors.Is(err, board.ErrDead) {
-			return remote(ocd.CodeDead, err)
-		}
-		return remote(ocd.CodeBoot, err)
+func (p vmProbe) reload() error {
+	if err := p.vm.Reset(); err != nil {
+		return ocd.BootError(err)
 	}
 	return nil
 }
 
-func (l *vmLink) FlashErase(off, n int) error {
-	l.charge()
-	if err := l.brd().FlashErase(off, n); err != nil {
-		return flashErr(err)
-	}
-	return nil
-}
-
-func (l *vmLink) FlashWrite(off int, data []byte) error {
-	l.charge()
-	if err := l.brd().FlashProgram(off, data); err != nil {
-		return flashErr(err)
-	}
-	return nil
-}
-
-func flashErr(err error) error {
-	if errors.Is(err, board.ErrDead) {
-		return remote(ocd.CodeDead, err)
-	}
-	return remote(ocd.CodeFlash, err)
-}
-
-// DrainCov mirrors the debug server's vCovDrain: validate the coverage
-// header, transfer up to maxEntries entries and zero the count and lost
-// words, all for one OpCost.
-func (l *vmLink) DrainCov(addr uint64, maxEntries int) ([]uint32, uint32, error) {
-	l.charge()
-	if !l.live() {
-		return nil, 0, ocd.ErrTimeout
-	}
-	mem := l.brd().Mem()
-	hdr, err := mem.Read(addr, 16)
-	if err != nil {
-		return nil, 0, remote(ocd.CodeMem, err)
-	}
-	if m := binary.LittleEndian.Uint32(hdr[0:]); m != cov.Magic {
-		return nil, 0, &ocd.RemoteError{Code: ocd.CodeCov, Msg: fmt.Sprintf("bad magic %#x", m)}
-	}
-	count := int(binary.LittleEndian.Uint32(hdr[4:]))
-	capacity := int(binary.LittleEndian.Uint32(hdr[8:]))
-	lost := binary.LittleEndian.Uint32(hdr[12:])
-	if count > capacity {
-		return nil, 0, &ocd.RemoteError{Code: ocd.CodeCov, Msg: fmt.Sprintf("corrupt header count=%d cap=%d", count, capacity)}
-	}
-	if count > maxEntries {
-		count = maxEntries
-	}
-	entries := make([]uint32, count)
-	if count > 0 {
-		raw, err := mem.Read(addr+16, count*4)
-		if err != nil {
-			return nil, 0, remote(ocd.CodeMem, err)
-		}
-		for i := range entries {
-			entries[i] = binary.LittleEndian.Uint32(raw[i*4:])
-		}
-	}
-	if err := mem.Write(addr+4, []byte{0, 0, 0, 0}); err != nil {
-		return nil, 0, remote(ocd.CodeMem, err)
-	}
-	if err := mem.Write(addr+12, []byte{0, 0, 0, 0}); err != nil {
-		return nil, 0, remote(ocd.CodeMem, err)
-	}
-	return entries, lost, nil
-}
-
-func (l *vmLink) WriteMemContinue(addr uint64, data []byte, budget int64) (cpu.Stop, error) {
-	l.charge()
-	if !l.live() {
-		return cpu.Stop{}, ocd.ErrTimeout
-	}
-	if err := l.brd().Mem().Write(addr, data); err != nil {
-		return cpu.Stop{}, remote(ocd.CodeMem, err)
-	}
-	if budget <= 0 {
-		budget = 2_000_000
-	}
-	return l.brd().Core().Continue(budget), nil
-}
-
-func (l *vmLink) Snapshot() error {
-	l.charge()
-	if !l.live() {
-		return ocd.ErrTimeout
-	}
-	if err := l.brd().Snapshot(); err != nil {
-		return remote(ocd.CodeSnap, err)
-	}
-	return nil
-}
-
-func (l *vmLink) RestoreSnapshot() (board.RestoreStats, error) {
-	l.charge()
-	b := l.brd()
-	if b.State() == board.Dead {
-		return board.RestoreStats{}, &ocd.RemoteError{Code: ocd.CodeDead, Msg: "board dead"}
-	}
-	if !b.HasSnapshot() {
-		return board.RestoreStats{}, &ocd.RemoteError{Code: ocd.CodeSnap}
-	}
-	st, err := b.RestoreSnapshot()
-	if err != nil {
-		switch {
-		case errors.Is(err, board.ErrDead):
-			return st, remote(ocd.CodeDead, err)
-		case errors.Is(err, board.ErrNoSnapshot):
-			return st, &ocd.RemoteError{Code: ocd.CodeSnap}
-		default:
-			return st, remote(ocd.CodeFlash, err)
-		}
-	}
-	return st, nil
-}
-
-func (l *vmLink) DrainUART() ([]string, error) {
-	l.charge()
-	return l.vm.DrainUART(), nil
-}
-
-func (l *vmLink) BoardState() (board.State, int, string, error) {
-	l.charge()
-	b := l.brd()
-	last := ""
-	if err := b.LastBootError(); err != nil {
-		last = err.Error()
-	}
-	return b.State(), b.BootCount(), last, nil
-}
-
-func (l *vmLink) Close() error { return nil }
-
-var _ link.Link = (*vmLink)(nil)
+func (p vmProbe) Close() error { return nil }

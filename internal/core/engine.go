@@ -307,12 +307,12 @@ type Engine struct {
 	// tracer is the engine's trace emission point (flight-recorder ring
 	// plus optional journal/status sinks); acct attributes every virtual-
 	// clock delta of the link stack to a board-time category. restoring
-	// and reflashing are the mode flags the timed link wrapper reads.
+	// and reflashing are the mode flags the timing layer (timeCmd) reads.
 	tracer     *trace.Tracer
 	acct       *trace.Accountant
 	restoring  bool
 	reflashing bool
-	// deltaRestoring marks the vRestore round trip so the timed link bills
+	// deltaRestoring marks the vRestore round trip so the timing layer bills
 	// it to the restoring-delta sub-bucket. snapValid tracks whether the
 	// probe holds a usable golden snapshot; snapPostBoot/snapPostInit are
 	// the configured (re-)snapshot states.
@@ -321,7 +321,7 @@ type Engine struct {
 	snapPostBoot   bool
 	snapPostInit   bool
 
-	// triaging flags replay/minimization mode: the timed link bills every
+	// triaging flags replay/minimization mode: the timing layer bills every
 	// round trip to the triaging bucket, recordBug diverts to captured
 	// instead of the findings list, and coverage is discarded. pristine
 	// tracks whether the board is freshly restored and untouched, so
@@ -333,7 +333,7 @@ type Engine struct {
 	triageQueue []TriageItem
 
 	// confirming flags cross-tier confirmation mode on a hardware engine:
-	// the timed link bills round trips to the confirming bucket, ingested
+	// the timing layer bills round trips to the confirming bucket, ingested
 	// edges are additionally accumulated in confirmSeen, and recordBug notes
 	// the replay's hit in confirmCaptured (while still recording normally —
 	// hardware observations are ground truth). confirmQueue is the emulation
@@ -705,18 +705,10 @@ func (e *Engine) buildLinkStack() link.Link {
 			e.tracer.Emit(trace.Event{Kind: trace.LinkReconnect})
 		},
 	})
-	// The timed wrapper tops the stack so its categories include everything
+	// The timing layer tops the stack so its categories include everything
 	// below: session backoff, injected fault penalties, adapter latency,
 	// payload transfer and executed target cycles.
-	return &timedLink{
-		inner:          e.session,
-		acct:           e.acct,
-		restoring:      &e.restoring,
-		reflashing:     &e.reflashing,
-		triaging:       &e.triaging,
-		confirming:     &e.confirming,
-		deltaRestoring: &e.deltaRestoring,
-	}
+	return link.Wrap(e.session, e.timeCmd)
 }
 
 // parseSnapshotStates interprets Config.SnapshotStates: a comma-separated

@@ -1,172 +1,74 @@
 package core
 
 import (
-	"time"
-
-	"github.com/eof-fuzz/eof/internal/board"
-	"github.com/eof-fuzz/eof/internal/cpu"
 	"github.com/eof-fuzz/eof/internal/link"
 	"github.com/eof-fuzz/eof/internal/trace"
 )
 
-// timedLink sits at the very top of the debug-link stack (above the session
-// layer, so retry backoff and fault penalties are included) and attributes
-// every command's virtual-clock delta to a board-time category. Defaults:
-// resume commands are target execution, flash transfers are reflashing, and
-// everything else is link overhead — but while the engine is inside a
-// restoration the engine's mode flags coerce non-reflash commands to the
+// timeCmd is the board-time accounting layer. It sits at the very top of
+// the debug-link stack (above the session layer, so retry backoff and fault
+// penalties are included) and attributes every command's virtual-clock
+// delta to a board-time category. Defaults: resume commands are target
+// execution, flash transfers are reflashing, resets and snapshot restores
+// are restoration, and everything else is link overhead. While the engine
+// is inside a restoration its mode flags coerce non-reflash commands to the
 // restoring category, so restoration's reboot/re-arm/resync round trips are
 // charged to restoration as the paper accounts them. The triage flag
 // outranks everything: during replay/minimization every round trip —
 // including restores and reflashes the replays themselves trigger — is
-// billed to triage, keeping the bucket an honest total cost of triage.
-type timedLink struct {
-	inner      link.Link
-	acct       *trace.Accountant
-	restoring  *bool // engine's in-restore flag
-	reflashing *bool // engine's in-reflash flag (within restore)
-	triaging   *bool // engine's in-triage flag
-	// confirming is the cross-tier confirmation flag: like triage, every
-	// round trip of a confirmation replay — including the restores it
-	// triggers — bills to the confirming bucket, keeping that bucket an
-	// honest total cost of hardware confirmation.
-	confirming *bool
-	// deltaRestoring marks the snapshot-restore rung: restore-category time
-	// charged while it is set lands in the restoring-delta sub-bucket, the
-	// rest in restoring-full, keeping Restoring == Delta + Full exact.
-	deltaRestoring *bool
+// billed to triage, keeping the bucket an honest total cost of triage. The
+// cross-tier confirmation flag works the same way for the confirming
+// bucket.
+func (e *Engine) timeCmd(c link.Cmd, call func() error) error {
+	start := e.acct.Begin()
+	err := call()
+	var def trace.Category
+	switch c.Op {
+	case link.OpFlashErase, link.OpFlashWrite:
+		e.acct.End(e.flashCat(), start)
+		return err
+	case link.OpContinue, link.OpWriteMemContinue:
+		def = trace.CatExec
+	case link.OpReset, link.OpPowerCycle, link.OpRestoreSnapshot:
+		def = trace.CatRestore
+	default:
+		def = trace.CatLink
+	}
+	// Restore-category time charged while the snapshot rung runs lands in
+	// the restoring-delta sub-bucket, the rest in restoring-full, keeping
+	// Restoring == Delta + Full exact.
+	if cat := e.cmdCat(def); cat == trace.CatRestore {
+		e.acct.EndRestore(e.deltaRestoring, start)
+	} else {
+		e.acct.End(cat, start)
+	}
+	return err
 }
 
-// cat resolves the category for a command whose default is def.
-func (w *timedLink) cat(def trace.Category) trace.Category {
-	if *w.triaging {
+// cmdCat resolves the category for a command whose default is def.
+func (e *Engine) cmdCat(def trace.Category) trace.Category {
+	switch {
+	case e.triaging:
 		return trace.CatTriage
-	}
-	if *w.confirming {
+	case e.confirming:
 		return trace.CatConfirm
-	}
-	if *w.reflashing {
+	case e.reflashing:
 		return trace.CatReflash
-	}
-	if *w.restoring {
+	case e.restoring:
 		return trace.CatRestore
 	}
 	return def
 }
 
-// end attributes the command's clock delta, routing restore-category time
-// through the delta/full sub-accounting.
-func (w *timedLink) end(def trace.Category, start time.Duration) {
-	if c := w.cat(def); c == trace.CatRestore {
-		w.acct.EndRestore(*w.deltaRestoring, start)
-	} else {
-		w.acct.End(c, start)
-	}
-}
-
-func (w *timedLink) ReadMem(addr uint64, n int) ([]byte, error) {
-	start := w.acct.Begin()
-	defer w.end(trace.CatLink, start)
-	return w.inner.ReadMem(addr, n)
-}
-
-func (w *timedLink) WriteMem(addr uint64, data []byte) error {
-	start := w.acct.Begin()
-	defer w.end(trace.CatLink, start)
-	return w.inner.WriteMem(addr, data)
-}
-
-func (w *timedLink) SetBreakpoint(addr uint64) error {
-	start := w.acct.Begin()
-	defer w.end(trace.CatLink, start)
-	return w.inner.SetBreakpoint(addr)
-}
-
-func (w *timedLink) ClearBreakpoint(addr uint64) error {
-	start := w.acct.Begin()
-	defer w.end(trace.CatLink, start)
-	return w.inner.ClearBreakpoint(addr)
-}
-
-func (w *timedLink) Continue(budget int64) (cpu.Stop, error) {
-	start := w.acct.Begin()
-	defer w.end(trace.CatExec, start)
-	return w.inner.Continue(budget)
-}
-
-func (w *timedLink) Reset() error {
-	start := w.acct.Begin()
-	defer w.end(trace.CatRestore, start)
-	return w.inner.Reset()
-}
-
-func (w *timedLink) PowerCycle() error {
-	start := w.acct.Begin()
-	defer w.end(trace.CatRestore, start)
-	return w.inner.PowerCycle()
-}
-
-func (w *timedLink) FlashErase(off, n int) error {
-	start := w.acct.Begin()
-	defer w.acct.End(w.flashCat(), start)
-	return w.inner.FlashErase(off, n)
-}
-
-func (w *timedLink) FlashWrite(off int, data []byte) error {
-	start := w.acct.Begin()
-	defer w.acct.End(w.flashCat(), start)
-	return w.inner.FlashWrite(off, data)
-}
-
 // flashCat is the category for flash transfers: reflashing, unless the
 // reflash happens while replaying a finding, in which case it is triage
 // (or confirmation) cost.
-func (w *timedLink) flashCat() trace.Category {
-	if *w.triaging {
+func (e *Engine) flashCat() trace.Category {
+	switch {
+	case e.triaging:
 		return trace.CatTriage
-	}
-	if *w.confirming {
+	case e.confirming:
 		return trace.CatConfirm
 	}
 	return trace.CatReflash
 }
-
-func (w *timedLink) DrainCov(addr uint64, maxEntries int) ([]uint32, uint32, error) {
-	start := w.acct.Begin()
-	defer w.end(trace.CatLink, start)
-	return w.inner.DrainCov(addr, maxEntries)
-}
-
-func (w *timedLink) WriteMemContinue(addr uint64, data []byte, budget int64) (cpu.Stop, error) {
-	start := w.acct.Begin()
-	defer w.end(trace.CatExec, start)
-	return w.inner.WriteMemContinue(addr, data, budget)
-}
-
-func (w *timedLink) Snapshot() error {
-	start := w.acct.Begin()
-	defer w.end(trace.CatLink, start)
-	return w.inner.Snapshot()
-}
-
-func (w *timedLink) RestoreSnapshot() (board.RestoreStats, error) {
-	start := w.acct.Begin()
-	defer w.end(trace.CatRestore, start)
-	return w.inner.RestoreSnapshot()
-}
-
-func (w *timedLink) DrainUART() ([]string, error) {
-	start := w.acct.Begin()
-	defer w.end(trace.CatLink, start)
-	return w.inner.DrainUART()
-}
-
-func (w *timedLink) BoardState() (board.State, int, string, error) {
-	start := w.acct.Begin()
-	defer w.end(trace.CatLink, start)
-	return w.inner.BoardState()
-}
-
-func (w *timedLink) Close() error { return w.inner.Close() }
-
-var _ link.Link = (*timedLink)(nil)

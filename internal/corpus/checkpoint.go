@@ -133,7 +133,7 @@ func (s *Store) WriteCheckpoint(ck *Checkpoint) error {
 			return fmt.Errorf("corpus: checkpoint rotate: %w", err)
 		}
 	}
-	if err := writeFileSync(cur, data); err != nil {
+	if err := WriteFileSync(cur, data); err != nil {
 		return fmt.Errorf("corpus: checkpoint: %w", err)
 	}
 	return nil

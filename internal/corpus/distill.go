@@ -96,7 +96,7 @@ func (s *Store) rewriteManifest(keep map[string]bool) error {
 			buf = AppendManifestLine(buf, s.entries[h])
 		}
 	}
-	if err := writeFileSync(s.manifestPath(), buf); err != nil {
+	if err := WriteFileSync(s.manifestPath(), buf); err != nil {
 		return fmt.Errorf("corpus: distill manifest rewrite: %w", err)
 	}
 	return nil

@@ -303,7 +303,7 @@ func (s *Store) Put(e Entry) (bool, error) {
 	bp := s.blobPath(e.Hash)
 	if _, err := os.Stat(bp); err != nil {
 		// Not already durable from an interrupted epoch: write it now.
-		if err := writeFileSync(bp, e.Prog); err != nil {
+		if err := WriteFileSync(bp, e.Prog); err != nil {
 			return false, fmt.Errorf("corpus: blob %s: %w", shortHash(e.Hash), err)
 		}
 	}
@@ -348,10 +348,13 @@ func shortHash(h string) string {
 	return h
 }
 
-// writeFileSync writes data to path atomically: temp file in the same
-// directory, fsync, rename, directory fsync (best effort — some filesystems
-// reject directory syncs).
-func writeFileSync(path string, data []byte) error {
+// WriteFileSync writes data to path atomically and durably: a ".tmp-*"
+// temp file in the same directory, fsync, rename, directory fsync (best
+// effort — some filesystems reject directory syncs). A crash at any point
+// leaves either the old file or the new one, never a torn mix; readers that
+// scan the directory must skip the temp names. It is the one durable-write
+// path for the corpus store and the daemon's job table.
+func WriteFileSync(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"time"
 
-	"github.com/eof-fuzz/eof/internal/board"
-	"github.com/eof-fuzz/eof/internal/cpu"
 	"github.com/eof-fuzz/eof/internal/vtime"
 )
 
@@ -64,7 +62,8 @@ func Profile(rate float64, seed int64) FaultConfig {
 // corrupts, delays or stalls commands on their way to the inner transport.
 // It sits below the session layer, which absorbs everything it injects.
 type Injector struct {
-	inner   Link
+	// Link is the forwarding view: every command runs through around.
+	Link
 	cfg     FaultConfig
 	rnd     *rand.Rand
 	clock   *vtime.Clock
@@ -91,12 +90,13 @@ func NewInjector(inner Link, cfg FaultConfig, clock *vtime.Clock) *Injector {
 	if cfg.Penalty <= 0 {
 		cfg.Penalty = DefaultPenalty
 	}
-	return &Injector{
-		inner: inner,
+	f := &Injector{
 		cfg:   cfg,
 		rnd:   rand.New(rand.NewSource(cfg.Seed ^ 0xFA017)),
 		clock: clock,
 	}
+	f.Link = Wrap(inner, f.around)
+	return f
 }
 
 // Revive power-cycles the adapter after a stall; the session's reconnect
@@ -157,111 +157,12 @@ func (f *Injector) before(cmd string) error {
 	return nil
 }
 
-func (f *Injector) ReadMem(addr uint64, n int) ([]byte, error) {
-	if err := f.before("ReadMem"); err != nil {
-		return nil, err
-	}
-	return f.inner.ReadMem(addr, n)
-}
-
-func (f *Injector) WriteMem(addr uint64, data []byte) error {
-	if err := f.before("WriteMem"); err != nil {
+// around lets a command through only if before draws no failure for it.
+func (f *Injector) around(c Cmd, call func() error) error {
+	if err := f.before(c.String()); err != nil {
 		return err
 	}
-	return f.inner.WriteMem(addr, data)
+	return call()
 }
-
-func (f *Injector) SetBreakpoint(addr uint64) error {
-	if err := f.before("SetBreakpoint"); err != nil {
-		return err
-	}
-	return f.inner.SetBreakpoint(addr)
-}
-
-func (f *Injector) ClearBreakpoint(addr uint64) error {
-	if err := f.before("ClearBreakpoint"); err != nil {
-		return err
-	}
-	return f.inner.ClearBreakpoint(addr)
-}
-
-func (f *Injector) Continue(budget int64) (cpu.Stop, error) {
-	if err := f.before("Continue"); err != nil {
-		return cpu.Stop{}, err
-	}
-	return f.inner.Continue(budget)
-}
-
-func (f *Injector) Reset() error {
-	if err := f.before("Reset"); err != nil {
-		return err
-	}
-	return f.inner.Reset()
-}
-
-func (f *Injector) PowerCycle() error {
-	if err := f.before("PowerCycle"); err != nil {
-		return err
-	}
-	return f.inner.PowerCycle()
-}
-
-func (f *Injector) FlashErase(off, n int) error {
-	if err := f.before("FlashErase"); err != nil {
-		return err
-	}
-	return f.inner.FlashErase(off, n)
-}
-
-func (f *Injector) FlashWrite(off int, data []byte) error {
-	if err := f.before("FlashWrite"); err != nil {
-		return err
-	}
-	return f.inner.FlashWrite(off, data)
-}
-
-func (f *Injector) DrainCov(addr uint64, maxEntries int) ([]uint32, uint32, error) {
-	if err := f.before("DrainCov"); err != nil {
-		return nil, 0, err
-	}
-	return f.inner.DrainCov(addr, maxEntries)
-}
-
-func (f *Injector) WriteMemContinue(addr uint64, data []byte, budget int64) (cpu.Stop, error) {
-	if err := f.before("WriteMemContinue"); err != nil {
-		return cpu.Stop{}, err
-	}
-	return f.inner.WriteMemContinue(addr, data, budget)
-}
-
-func (f *Injector) Snapshot() error {
-	if err := f.before("Snapshot"); err != nil {
-		return err
-	}
-	return f.inner.Snapshot()
-}
-
-func (f *Injector) RestoreSnapshot() (board.RestoreStats, error) {
-	if err := f.before("RestoreSnapshot"); err != nil {
-		return board.RestoreStats{}, err
-	}
-	return f.inner.RestoreSnapshot()
-}
-
-func (f *Injector) DrainUART() ([]string, error) {
-	if err := f.before("DrainUART"); err != nil {
-		return nil, err
-	}
-	return f.inner.DrainUART()
-}
-
-func (f *Injector) BoardState() (board.State, int, string, error) {
-	if err := f.before("BoardState"); err != nil {
-		return 0, 0, "", err
-	}
-	return f.inner.BoardState()
-}
-
-func (f *Injector) Close() error { return f.inner.Close() }
 
 var _ Link = (*Injector)(nil)

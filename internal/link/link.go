@@ -2,22 +2,29 @@
 // is the paper's single control-and-observation channel, and it is narrow
 // and failure-prone: adapters drop frames, probes wedge, cables die
 // mid-campaign. This package makes that boundary an explicit, instrumentable
-// interface and stacks composable middleware on top of the raw transport:
+// interface (Link, 15 commands plus Close) and stacks middleware on top of
+// the raw transport. Every layer is the one forwarding type Wrap builds,
+// parameterised by an around function that runs code around each command
+// (a Cmd: the command's Op plus, for breakpoints, its address):
 //
 //	engine (internal/core)
 //	   │ Link interface
+//	   ▼
+//	timing      — the engine's board-time accounting (core, Engine.timeCmd)
 //	   ▼
 //	Session     — bounded retry with backoff; on link death reconnects,
 //	   │          re-arms the shadowed breakpoint set and re-detects
 //	   │          vectored-command support (Stats.LinkRetries/LinkReconnects)
 //	   ▼
 //	Metrics     — atomic round-trip counters and per-command latency
-//	   │          histograms (replaces the old ad-hoc Client.ops field)
+//	   │          histograms
 //	   ▼
 //	Injector    — deterministic, seeded fault injection: drop, corrupt,
 //	   │          delay, stall (absent when -link-faults is off)
 //	   ▼
 //	transport   — *ocd.Client over the RSP wire or the in-process dispatch
+//	              (hardware), or the ocd server's typed command methods
+//	              wrapped with an OpCost charge (emulation)
 //
 // Error taxonomy, bottom-up: remote errors (ocd.RemoteError, typed ocd.Code)
 // and ocd.ErrTimeout describe *target* state — the command was delivered and
@@ -40,8 +47,8 @@ import (
 )
 
 // Link is the full debug-command surface of the probe. *ocd.Client is the
-// transport implementation; Session, Metrics and Injector wrap any Link, so
-// layers compose in any order and tests can substitute scripted fakes.
+// wire transport; Session, Metrics and Injector wrap any Link through Wrap,
+// so layers compose in any order and tests can substitute scripted fakes.
 type Link interface {
 	// ReadMem reads n bytes of target memory at addr.
 	ReadMem(addr uint64, n int) ([]byte, error)

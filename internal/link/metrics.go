@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/eof-fuzz/eof/internal/board"
-	"github.com/eof-fuzz/eof/internal/cpu"
 	"github.com/eof-fuzz/eof/internal/vtime"
 )
 
@@ -72,7 +70,7 @@ func NewMetrics(clock *vtime.Clock) *Metrics {
 
 // Wrap returns a Link that records every command into m before forwarding
 // to inner.
-func (m *Metrics) Wrap(inner Link) Link { return &measured{m: m, inner: inner} }
+func (m *Metrics) Wrap(inner Link) Link { return Wrap(inner, m.around) }
 
 // Ops returns the total number of link round trips recorded so far,
 // including retried and faulted attempts (each costs real adapter time).
@@ -92,19 +90,23 @@ func (m *Metrics) Snapshot() []CmdStat {
 	return out
 }
 
-func (m *Metrics) begin() time.Duration {
+// around records one command: its round trip and the virtual time it took.
+func (m *Metrics) around(c Cmd, call func() error) error {
+	start := m.now()
+	err := call()
+	m.observe(c.String(), m.now()-start)
+	return err
+}
+
+func (m *Metrics) now() time.Duration {
 	if m.clock == nil {
 		return 0
 	}
 	return m.clock.Now()
 }
 
-func (m *Metrics) observe(cmd string, start time.Duration) {
+func (m *Metrics) observe(cmd string, lat time.Duration) {
 	m.ops.Add(1)
-	var lat time.Duration
-	if m.clock != nil {
-		lat = m.clock.Now() - start
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	acc := m.perCmd[cmd]
@@ -120,103 +122,3 @@ func (m *Metrics) observe(cmd string, start time.Duration) {
 	}
 	acc.buckets[i]++
 }
-
-// measured is the middleware view of a Metrics instance.
-type measured struct {
-	m     *Metrics
-	inner Link
-}
-
-func (w *measured) ReadMem(addr uint64, n int) ([]byte, error) {
-	start := w.m.begin()
-	defer w.m.observe("ReadMem", start)
-	return w.inner.ReadMem(addr, n)
-}
-
-func (w *measured) WriteMem(addr uint64, data []byte) error {
-	start := w.m.begin()
-	defer w.m.observe("WriteMem", start)
-	return w.inner.WriteMem(addr, data)
-}
-
-func (w *measured) SetBreakpoint(addr uint64) error {
-	start := w.m.begin()
-	defer w.m.observe("SetBreakpoint", start)
-	return w.inner.SetBreakpoint(addr)
-}
-
-func (w *measured) ClearBreakpoint(addr uint64) error {
-	start := w.m.begin()
-	defer w.m.observe("ClearBreakpoint", start)
-	return w.inner.ClearBreakpoint(addr)
-}
-
-func (w *measured) Continue(budget int64) (cpu.Stop, error) {
-	start := w.m.begin()
-	defer w.m.observe("Continue", start)
-	return w.inner.Continue(budget)
-}
-
-func (w *measured) Reset() error {
-	start := w.m.begin()
-	defer w.m.observe("Reset", start)
-	return w.inner.Reset()
-}
-
-func (w *measured) PowerCycle() error {
-	start := w.m.begin()
-	defer w.m.observe("PowerCycle", start)
-	return w.inner.PowerCycle()
-}
-
-func (w *measured) FlashErase(off, n int) error {
-	start := w.m.begin()
-	defer w.m.observe("FlashErase", start)
-	return w.inner.FlashErase(off, n)
-}
-
-func (w *measured) FlashWrite(off int, data []byte) error {
-	start := w.m.begin()
-	defer w.m.observe("FlashWrite", start)
-	return w.inner.FlashWrite(off, data)
-}
-
-func (w *measured) DrainCov(addr uint64, maxEntries int) ([]uint32, uint32, error) {
-	start := w.m.begin()
-	defer w.m.observe("DrainCov", start)
-	return w.inner.DrainCov(addr, maxEntries)
-}
-
-func (w *measured) WriteMemContinue(addr uint64, data []byte, budget int64) (cpu.Stop, error) {
-	start := w.m.begin()
-	defer w.m.observe("WriteMemContinue", start)
-	return w.inner.WriteMemContinue(addr, data, budget)
-}
-
-func (w *measured) Snapshot() error {
-	start := w.m.begin()
-	defer w.m.observe("Snapshot", start)
-	return w.inner.Snapshot()
-}
-
-func (w *measured) RestoreSnapshot() (board.RestoreStats, error) {
-	start := w.m.begin()
-	defer w.m.observe("RestoreSnapshot", start)
-	return w.inner.RestoreSnapshot()
-}
-
-func (w *measured) DrainUART() ([]string, error) {
-	start := w.m.begin()
-	defer w.m.observe("DrainUART", start)
-	return w.inner.DrainUART()
-}
-
-func (w *measured) BoardState() (board.State, int, string, error) {
-	start := w.m.begin()
-	defer w.m.observe("BoardState", start)
-	return w.inner.BoardState()
-}
-
-func (w *measured) Close() error { return w.inner.Close() }
-
-var _ Link = (*measured)(nil)

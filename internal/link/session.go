@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/eof-fuzz/eof/internal/board"
-	"github.com/eof-fuzz/eof/internal/cpu"
 	"github.com/eof-fuzz/eof/internal/ocd"
 	"github.com/eof-fuzz/eof/internal/vtime"
 )
@@ -56,6 +54,8 @@ type SessionConfig struct {
 // surfaces wrapped as ocd.ErrTimeout, handing the campaign to the
 // connection-timeout watchdog exactly as a dead target would.
 type Session struct {
+	// Link is the forwarding view: every command runs through around.
+	Link
 	inner Link
 	cfg   SessionConfig
 
@@ -78,7 +78,9 @@ func NewSession(inner Link, cfg SessionConfig) *Session {
 	if cfg.Backoff <= 0 {
 		cfg.Backoff = DefaultBackoff
 	}
-	return &Session{inner: inner, cfg: cfg, bps: make(map[uint64]bool)}
+	s := &Session{inner: inner, cfg: cfg, bps: make(map[uint64]bool)}
+	s.Link = Wrap(inner, s.around)
+	return s
 }
 
 // Retries returns how many commands were transparently re-sent.
@@ -202,102 +204,19 @@ func (s *Session) rearm() bool {
 	return true
 }
 
-func (s *Session) ReadMem(addr uint64, n int) (data []byte, err error) {
-	err = s.do("ReadMem", func() error {
-		data, err = s.inner.ReadMem(addr, n)
-		return err
-	})
-	return data, err
-}
-
-func (s *Session) WriteMem(addr uint64, data []byte) error {
-	return s.do("WriteMem", func() error { return s.inner.WriteMem(addr, data) })
-}
-
-func (s *Session) SetBreakpoint(addr uint64) error {
-	err := s.do("SetBreakpoint", func() error { return s.inner.SetBreakpoint(addr) })
+// around is the session's forwarding hook: every command runs through do,
+// and a successful breakpoint command updates the shadowed armed set.
+func (s *Session) around(c Cmd, call func() error) error {
+	err := s.do(c.String(), call)
 	if err == nil {
-		s.bps[addr] = true
+		switch c.Op {
+		case OpSetBreakpoint:
+			s.bps[c.Addr] = true
+		case OpClearBreakpoint:
+			delete(s.bps, c.Addr)
+		}
 	}
 	return err
 }
-
-func (s *Session) ClearBreakpoint(addr uint64) error {
-	err := s.do("ClearBreakpoint", func() error { return s.inner.ClearBreakpoint(addr) })
-	if err == nil {
-		delete(s.bps, addr)
-	}
-	return err
-}
-
-func (s *Session) Continue(budget int64) (st cpu.Stop, err error) {
-	err = s.do("Continue", func() error {
-		st, err = s.inner.Continue(budget)
-		return err
-	})
-	return st, err
-}
-
-func (s *Session) Reset() error {
-	return s.do("Reset", func() error { return s.inner.Reset() })
-}
-
-func (s *Session) PowerCycle() error {
-	return s.do("PowerCycle", func() error { return s.inner.PowerCycle() })
-}
-
-func (s *Session) FlashErase(off, n int) error {
-	return s.do("FlashErase", func() error { return s.inner.FlashErase(off, n) })
-}
-
-func (s *Session) FlashWrite(off int, data []byte) error {
-	return s.do("FlashWrite", func() error { return s.inner.FlashWrite(off, data) })
-}
-
-func (s *Session) DrainCov(addr uint64, maxEntries int) (entries []uint32, lost uint32, err error) {
-	err = s.do("DrainCov", func() error {
-		entries, lost, err = s.inner.DrainCov(addr, maxEntries)
-		return err
-	})
-	return entries, lost, err
-}
-
-func (s *Session) WriteMemContinue(addr uint64, data []byte, budget int64) (st cpu.Stop, err error) {
-	err = s.do("WriteMemContinue", func() error {
-		st, err = s.inner.WriteMemContinue(addr, data, budget)
-		return err
-	})
-	return st, err
-}
-
-func (s *Session) Snapshot() error {
-	return s.do("Snapshot", func() error { return s.inner.Snapshot() })
-}
-
-func (s *Session) RestoreSnapshot() (st board.RestoreStats, err error) {
-	err = s.do("RestoreSnapshot", func() error {
-		st, err = s.inner.RestoreSnapshot()
-		return err
-	})
-	return st, err
-}
-
-func (s *Session) DrainUART() (lines []string, err error) {
-	err = s.do("DrainUART", func() error {
-		lines, err = s.inner.DrainUART()
-		return err
-	})
-	return lines, err
-}
-
-func (s *Session) BoardState() (st board.State, boots int, lastBoot string, err error) {
-	err = s.do("BoardState", func() error {
-		st, boots, lastBoot, err = s.inner.BoardState()
-		return err
-	})
-	return st, boots, lastBoot, err
-}
-
-func (s *Session) Close() error { return s.inner.Close() }
 
 var _ Link = (*Session)(nil)

@@ -125,6 +125,11 @@ func (c *Client) ReadMem(addr uint64, n int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeRead(resp, n)
+}
+
+// decodeRead parses an m reply carrying n bytes.
+func decodeRead(resp string, n int) ([]byte, error) {
 	if !strings.HasPrefix(resp, "D") {
 		return nil, fmt.Errorf("ocd: bad read reply %q", resp)
 	}
@@ -219,6 +224,11 @@ func (c *Client) DrainCov(addr uint64, maxEntries int) (entries []uint32, lost u
 	if err != nil {
 		return nil, 0, err
 	}
+	return decodeDrain(resp)
+}
+
+// decodeDrain parses a vCovDrain reply: V<lost:x>;<entries hex>.
+func decodeDrain(resp string) (entries []uint32, lost uint32, err error) {
 	if !strings.HasPrefix(resp, "V") {
 		return nil, 0, fmt.Errorf("ocd: bad drain reply %q", resp)
 	}
@@ -271,11 +281,17 @@ func (c *Client) Snapshot() error {
 // reset/reflash/re-arm/run-to-main ladder. A missing snapshot surfaces as a
 // RemoteError with code "snap"; legacy probes answer Ebadcmd.
 func (c *Client) RestoreSnapshot() (board.RestoreStats, error) {
-	var st board.RestoreStats
 	resp, err := c.call("vRestore")
 	if err != nil {
-		return st, err
+		return board.RestoreStats{}, err
 	}
+	return decodeRestore(resp)
+}
+
+// decodeRestore parses a vRestore reply:
+// S<flashSectors:x>,<ramPages:x>,<restoredBytes:x>,<skippedBytes:x>.
+func decodeRestore(resp string) (board.RestoreStats, error) {
+	var st board.RestoreStats
 	if !strings.HasPrefix(resp, "S") {
 		return st, fmt.Errorf("ocd: bad restore reply %q", resp)
 	}
@@ -304,6 +320,11 @@ func (c *Client) DrainUART() ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeUART(resp)
+}
+
+// decodeUART parses a qUART reply: L<line hex>;<line hex>...
+func decodeUART(resp string) ([]string, error) {
 	if !strings.HasPrefix(resp, "L") {
 		return nil, fmt.Errorf("ocd: bad uart reply %q", resp)
 	}
@@ -330,6 +351,11 @@ func (c *Client) BoardState() (st board.State, boots int, lastBoot string, err e
 	if err != nil {
 		return 0, 0, "", err
 	}
+	return decodeState(resp)
+}
+
+// decodeState parses a ? reply: Qstate:<state>;boots:<n>;lastboot:<hex>.
+func decodeState(resp string) (st board.State, boots int, lastBoot string, err error) {
 	if !strings.HasPrefix(resp, "Qstate:") {
 		return 0, 0, "", fmt.Errorf("ocd: bad state reply %q", resp)
 	}

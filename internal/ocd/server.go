@@ -4,12 +4,16 @@
 // breakpoints, execution, reflash, UART capture — flows through this one
 // channel, mirroring the paper's single vendor-agnostic debug interface.
 //
-// The server also charges virtual time per command (adapter round trip plus
-// payload transfer), which is what makes on-hardware fuzzing throughput land
-// in the paper's regime of a few payloads per second.
+// Each command's board semantics are written once, as a typed method of
+// Server; the wire handler only parses, dispatches and encodes, and the
+// emulated backend calls the same methods in process. The wire handler also
+// charges virtual time per command (adapter round trip plus payload
+// transfer), which is what makes on-hardware fuzzing throughput land in the
+// paper's regime of a few payloads per second.
 package ocd
 
 import (
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -91,80 +95,174 @@ func (s *Server) charge(payloadBytes int) {
 // ereply renders a bare error reply for code c.
 func ereply(c Code) string { return "E" + string(c) }
 
-// ereplyMsg renders an error reply carrying a hex-encoded message.
-func ereplyMsg(c Code, msg string) string {
-	return "E" + string(c) + ":" + hex.EncodeToString([]byte(msg))
+// errReply renders a typed command's error: ErrTimeout as Etimeout, a
+// RemoteError as its code plus the hex-encoded message, if any.
+func errReply(err error) string {
+	var re *RemoteError
+	if !errors.As(err, &re) {
+		return ereply(CodeTimeout)
+	}
+	if re.Msg == "" {
+		return ereply(re.Code)
+	}
+	return ereply(re.Code) + ":" + hex.EncodeToString([]byte(re.Msg))
 }
 
+// okReply renders the reply to a command that returns only an error.
+func okReply(err error) string {
+	if err != nil {
+		return errReply(err)
+	}
+	return "OK"
+}
+
+// stopReply renders the reply to a resume command.
+func stopReply(st cpu.Stop, err error) string {
+	if err != nil {
+		return errReply(err)
+	}
+	return encodeStop(st)
+}
+
+// handle serves one request: it charges the request's link time, parses
+// the wire form, runs the command's typed method and encodes the result.
+// The typed methods below hold each command's board semantics; handle adds
+// only the wire grammar, the vectored-command gate and the latency model.
 func (s *Server) handle(req string) (resp string, detach bool) {
 	s.charge(len(req))
 	switch {
 	case req == "?":
-		return s.stateReply(), false
+		st, boots, last, _ := s.BoardState()
+		return fmt.Sprintf("Qstate:%s;boots:%d;lastboot:%s", st, boots, hex.EncodeToString([]byte(last))), false
 	case req == "D":
 		return "OK", true
 	case req == "qUART":
-		return s.uartReply(), false
+		lines, _ := s.DrainUART()
+		parts := make([]string, len(lines))
+		for i, l := range lines {
+			parts[i] = hex.EncodeToString([]byte(l))
+		}
+		return "L" + strings.Join(parts, ";"), false
 	case strings.HasPrefix(req, "m"):
-		return s.readMem(req[1:]), false
+		addr, n, err := parseAddrLen(req[1:])
+		if err != nil {
+			return ereply(CodeBadArgs), false
+		}
+		data, err := s.ReadMem(addr, n)
+		if err != nil {
+			return errReply(err), false
+		}
+		s.charge(n) // response payload costs link time too
+		return "D" + hex.EncodeToString(data), false
 	case strings.HasPrefix(req, "M"):
-		return s.writeMem(req[1:]), false
+		head, data, ok := cutData(req[1:])
+		addr, n, err := parseAddrLen(head)
+		if !ok || err != nil || n != len(data) {
+			return ereply(CodeBadArgs), false
+		}
+		return okReply(s.WriteMem(addr, data)), false
 	case strings.HasPrefix(req, "Z0,"):
-		return s.setBP(req[3:]), false
+		addr, err := strconv.ParseUint(req[3:], 16, 64)
+		if err != nil {
+			return ereply(CodeBadArgs), false
+		}
+		return okReply(s.SetBreakpoint(addr)), false
 	case strings.HasPrefix(req, "z0,"):
-		return s.clearBP(req[3:]), false
+		addr, err := strconv.ParseUint(req[3:], 16, 64)
+		if err != nil {
+			return ereply(CodeBadArgs), false
+		}
+		return okReply(s.ClearBreakpoint(addr)), false
 	case strings.HasPrefix(req, "c"):
-		return s.cont(req[1:]), false
+		var budget int64 // empty: the default budget
+		if arg := req[1:]; arg != "" {
+			b, err := strconv.ParseInt(arg, 10, 64)
+			if err != nil || b <= 0 {
+				return ereply(CodeBadArgs), false
+			}
+			budget = b
+		}
+		return stopReply(s.Continue(budget)), false
 	case req == "r":
-		return s.reset(), false
+		return okReply(s.Reset()), false
 	case req == "R":
-		return s.powerCycle(), false
+		return okReply(s.PowerCycle()), false
 	case strings.HasPrefix(req, "vFlashErase:"):
-		return s.flashErase(req[len("vFlashErase:"):]), false
+		off, n, err := parseAddrLen(req[len("vFlashErase:"):])
+		if err != nil {
+			return ereply(CodeBadArgs), false
+		}
+		return okReply(s.FlashErase(int(off), n)), false
 	case strings.HasPrefix(req, "vFlashWrite:"):
-		return s.flashWrite(req[len("vFlashWrite:"):]), false
+		head, data, ok := cutData(req[len("vFlashWrite:"):])
+		off, err := strconv.ParseUint(head, 16, 64)
+		if !ok || err != nil {
+			return ereply(CodeBadArgs), false
+		}
+		return okReply(s.FlashWrite(int(off), data)), false
+	case s.NoVectored && isVectored(req):
+		return ereply(CodeBadCmd), false
 	case strings.HasPrefix(req, "vCovDrain:"):
-		if s.NoVectored {
-			return ereply(CodeBadCmd), false
+		addr, maxEntries, err := parseAddrLen(req[len("vCovDrain:"):])
+		if err != nil {
+			return ereply(CodeBadArgs), false
 		}
-		return s.covDrain(req[len("vCovDrain:"):]), false
+		entries, lost, err := s.DrainCov(addr, maxEntries)
+		if err != nil {
+			return errReply(err), false
+		}
+		raw := make([]byte, 4*len(entries))
+		for i, e := range entries {
+			binary.LittleEndian.PutUint32(raw[4*i:], e)
+		}
+		s.charge(len(raw)) // response payload costs link time, as in m
+		return fmt.Sprintf("V%x;%s", lost, hex.EncodeToString(raw)), false
 	case strings.HasPrefix(req, "vRun:"):
-		if s.NoVectored {
-			return ereply(CodeBadCmd), false
+		head, data, ok := cutData(req[len("vRun:"):])
+		a, b, _ := strings.Cut(head, ",")
+		addr, err1 := strconv.ParseUint(a, 16, 64)
+		budget, err2 := strconv.ParseInt(b, 10, 64)
+		if !ok || err1 != nil || err2 != nil || budget <= 0 {
+			return ereply(CodeBadArgs), false
 		}
-		return s.writeRun(req[len("vRun:"):]), false
+		return stopReply(s.WriteMemContinue(addr, data, budget)), false
 	case req == "vSnap":
-		if s.NoVectored {
-			return ereply(CodeBadCmd), false
-		}
-		return s.snapshot(), false
+		return okReply(s.Snapshot()), false
 	case req == "vRestore":
-		if s.NoVectored {
-			return ereply(CodeBadCmd), false
+		st, err := s.RestoreSnapshot()
+		if err != nil {
+			return errReply(err), false
 		}
-		return s.restore(), false
+		return fmt.Sprintf("S%x,%x,%x,%x", st.FlashSectors, st.RAMPages, st.RestoredBytes, st.SkippedBytes), false
 	default:
 		return ereply(CodeBadCmd), false
 	}
 }
 
-func (s *Server) stateReply() string {
-	st := s.Board.State()
-	last := ""
-	if err := s.Board.LastBootError(); err != nil {
-		last = hex.EncodeToString([]byte(err.Error()))
-	}
-	return fmt.Sprintf("Qstate:%s;boots:%d;lastboot:%s", st, s.Board.BootCount(), last)
+// isVectored reports whether req is one of the vectored commands older probe
+// firmware does not know.
+func isVectored(req string) bool {
+	return strings.HasPrefix(req, "vCovDrain:") || strings.HasPrefix(req, "vRun:") ||
+		req == "vSnap" || req == "vRestore"
 }
 
-func (s *Server) uartReply() string {
-	lines := s.Board.UART().Drain()
-	parts := make([]string, len(lines))
-	for i, l := range lines {
-		parts[i] = hex.EncodeToString([]byte(l.Text))
+// remote wraps a board error as a RemoteError with code c.
+func remote(c Code, err error) error { return &RemoteError{Code: c, Msg: err.Error()} }
+
+// deadOr classifies a board error: permanent hardware death gets its own
+// code so the host can stop climbing the recovery ladder; anything else
+// earns c.
+func deadOr(c Code, err error) error {
+	if errors.Is(err, board.ErrDead) {
+		return remote(CodeDead, err)
 	}
-	return "L" + strings.Join(parts, ";")
+	return remote(c, err)
 }
+
+// BootError classifies a failed reset or power cycle: CodeDead for permanent
+// hardware death, CodeBoot otherwise (a corrupt image, a transient power-on
+// failure).
+func BootError(err error) error { return deadOr(CodeBoot, err) }
 
 // live reports whether the CPU is reachable; when it is not, commands that
 // need a running core time out, which is the watchdog's boot-failure signal.
@@ -172,272 +270,223 @@ func (s *Server) live() bool {
 	return s.Board.State() == board.On && !s.Board.Core().Dead()
 }
 
-func (s *Server) readMem(args string) string {
+// defaultBudget is the step budget of a resume that names none.
+const defaultBudget = 2_000_000
+
+// The typed command methods below are the probe's board semantics, one per
+// link command. They return nil, ErrTimeout (the core is unreachable) or a
+// *RemoteError, and charge no link time: handle charges the wire cost, and
+// in-process callers such as the emulated backend charge their own.
+
+// ReadMem reads n bytes of target memory at addr.
+func (s *Server) ReadMem(addr uint64, n int) ([]byte, error) {
 	if !s.live() {
-		return ereply(CodeTimeout)
-	}
-	addr, n, err := parseAddrLen(args)
-	if err != nil {
-		return ereply(CodeBadArgs)
+		return nil, ErrTimeout
 	}
 	data, err := s.Board.Mem().Read(addr, n)
 	if err != nil {
-		return ereplyMsg(CodeMem, err.Error())
+		return nil, remote(CodeMem, err)
 	}
-	s.charge(n) // response payload costs link time too
-	return "D" + hex.EncodeToString(data)
+	return data, nil
 }
 
-func (s *Server) writeMem(args string) string {
+// WriteMem writes data into target memory at addr.
+func (s *Server) WriteMem(addr uint64, data []byte) error {
 	if !s.live() {
-		return ereply(CodeTimeout)
-	}
-	colon := strings.IndexByte(args, ':')
-	if colon < 0 {
-		return ereply(CodeBadArgs)
-	}
-	addr, n, err := parseAddrLen(args[:colon])
-	if err != nil {
-		return ereply(CodeBadArgs)
-	}
-	data, err := hex.DecodeString(args[colon+1:])
-	if err != nil || len(data) != n {
-		return ereply(CodeBadArgs)
+		return ErrTimeout
 	}
 	if err := s.Board.Mem().Write(addr, data); err != nil {
-		return ereplyMsg(CodeMem, err.Error())
+		return remote(CodeMem, err)
 	}
-	return "OK"
+	return nil
 }
 
-func (s *Server) setBP(arg string) string {
+// SetBreakpoint arms a hardware breakpoint at addr.
+func (s *Server) SetBreakpoint(addr uint64) error {
 	if !s.live() {
-		return ereply(CodeTimeout)
-	}
-	addr, err := strconv.ParseUint(arg, 16, 64)
-	if err != nil {
-		return ereply(CodeBadArgs)
+		return ErrTimeout
 	}
 	if err := s.Board.Core().SetBreakpoint(addr); err != nil {
-		return ereplyMsg(CodeBP, err.Error())
+		return remote(CodeBP, err)
 	}
-	return "OK"
+	return nil
 }
 
-func (s *Server) clearBP(arg string) string {
+// ClearBreakpoint disarms the breakpoint at addr.
+func (s *Server) ClearBreakpoint(addr uint64) error {
 	if !s.live() {
-		return ereply(CodeTimeout)
-	}
-	addr, err := strconv.ParseUint(arg, 16, 64)
-	if err != nil {
-		return ereply(CodeBadArgs)
+		return ErrTimeout
 	}
 	s.Board.Core().ClearBreakpoint(addr)
-	return "OK"
+	return nil
 }
 
-func (s *Server) cont(arg string) string {
+// Continue resumes the target for budget steps (defaultBudget when budget
+// is not positive) and returns the stop.
+func (s *Server) Continue(budget int64) (cpu.Stop, error) {
 	if !s.live() {
-		return ereply(CodeTimeout)
+		return cpu.Stop{}, ErrTimeout
 	}
-	budget := int64(2_000_000)
-	if arg != "" {
-		b, err := strconv.ParseInt(arg, 10, 64)
-		if err != nil || b <= 0 {
-			return ereply(CodeBadArgs)
-		}
-		budget = b
+	if budget <= 0 {
+		budget = defaultBudget
 	}
-	stop := s.Board.Core().Continue(budget)
-	return encodeStop(stop)
+	return s.Board.Core().Continue(budget), nil
 }
 
-func (s *Server) reset() string {
+// Reset warm-resets the board.
+func (s *Server) Reset() error {
 	if err := s.Board.Reset(); err != nil {
-		return ereplyMsg(bootCode(err), err.Error())
+		return BootError(err)
 	}
-	return "OK"
+	return nil
 }
 
-// powerCycle implements "R": drop board power, wait for the rails to settle
-// and cold-boot. The slow rung of the recovery ladder.
-func (s *Server) powerCycle() string {
+// PowerCycle drops board power, waits for the rails to settle and
+// cold-boots. The slow rung of the recovery ladder.
+func (s *Server) PowerCycle() error {
 	if err := s.Board.PowerCycle(); err != nil {
-		return ereplyMsg(bootCode(err), err.Error())
+		return BootError(err)
 	}
-	return "OK"
+	return nil
 }
 
-// bootCode classifies a boot-path failure: permanent hardware death gets its
-// own code so the host can stop climbing the recovery ladder.
-func bootCode(err error) Code {
-	if errors.Is(err, board.ErrDead) {
-		return CodeDead
+// FlashErase erases the flash range [off, off+n). Flash stays reachable in
+// every state short of death: that is the point of debug-port restoration.
+func (s *Server) FlashErase(off, n int) error {
+	if err := s.Board.FlashErase(off, n); err != nil {
+		return deadOr(CodeFlash, err)
 	}
-	return CodeBoot
+	return nil
 }
 
-func (s *Server) flashErase(args string) string {
-	off, n, err := parseAddrLen(args)
-	if err != nil {
-		return ereply(CodeBadArgs)
+// FlashWrite programs data at flash offset off.
+func (s *Server) FlashWrite(off int, data []byte) error {
+	if err := s.Board.FlashProgram(off, data); err != nil {
+		return deadOr(CodeFlash, err)
 	}
-	if err := s.Board.FlashErase(int(off), n); err != nil {
-		if errors.Is(err, board.ErrDead) {
-			return ereplyMsg(CodeDead, err.Error())
-		}
-		return ereplyMsg(CodeFlash, err.Error())
-	}
-	return "OK"
+	return nil
 }
 
-func (s *Server) flashWrite(args string) string {
-	colon := strings.IndexByte(args, ':')
-	if colon < 0 {
-		return ereply(CodeBadArgs)
-	}
-	off, err := strconv.ParseUint(args[:colon], 16, 64)
-	if err != nil {
-		return ereply(CodeBadArgs)
-	}
-	data, err := hex.DecodeString(args[colon+1:])
-	if err != nil {
-		return ereply(CodeBadArgs)
-	}
-	if err := s.Board.FlashProgram(int(off), data); err != nil {
-		if errors.Is(err, board.ErrDead) {
-			return ereplyMsg(CodeDead, err.Error())
-		}
-		return ereplyMsg(CodeFlash, err.Error())
-	}
-	return "OK"
-}
-
-// covDrain implements vCovDrain:<addr>,<maxEntries> — the vectored
-// drain-and-clear. The probe reads the coverage header, transfers up to
-// maxEntries valid entries and zeroes the count and lost words before
-// replying, so the whole drain costs one adapter round trip instead of the
-// legacy read/tail-read/clear triple.
-func (s *Server) covDrain(args string) string {
+// DrainCov is the vectored drain-and-clear: the probe reads the coverage
+// header at addr, transfers up to maxEntries valid entries and zeroes the
+// count and lost words, so the whole drain costs one adapter round trip
+// instead of the legacy read/tail-read/clear triple.
+func (s *Server) DrainCov(addr uint64, maxEntries int) ([]uint32, uint32, error) {
 	if !s.live() {
-		return ereply(CodeTimeout)
+		return nil, 0, ErrTimeout
 	}
-	addr, maxEntries, err := parseAddrLen(args)
+	mem := s.Board.Mem()
+	hdr, err := mem.Read(addr, 16)
 	if err != nil {
-		return ereply(CodeBadArgs)
+		return nil, 0, remote(CodeMem, err)
 	}
-	hdr, err := s.Board.Mem().Read(addr, 16)
-	if err != nil {
-		return ereplyMsg(CodeMem, err.Error())
+	if m := binary.LittleEndian.Uint32(hdr); m != cov.Magic {
+		return nil, 0, &RemoteError{Code: CodeCov, Msg: fmt.Sprintf("bad magic %#x", m)}
 	}
-	if m := le32(hdr, 0); m != cov.Magic {
-		return ereplyMsg(CodeCov, fmt.Sprintf("bad magic %#x", m))
-	}
-	count := int(le32(hdr, 4))
-	capacity := int(le32(hdr, 8))
-	lost := le32(hdr, 12)
+	count := int(binary.LittleEndian.Uint32(hdr[4:]))
+	capacity := int(binary.LittleEndian.Uint32(hdr[8:]))
+	lost := binary.LittleEndian.Uint32(hdr[12:])
 	if count > capacity {
-		return ereplyMsg(CodeCov, fmt.Sprintf("corrupt header count=%d cap=%d", count, capacity))
+		return nil, 0, &RemoteError{Code: CodeCov, Msg: fmt.Sprintf("corrupt header count=%d cap=%d", count, capacity)}
 	}
-	if count > maxEntries {
-		count = maxEntries
-	}
-	var raw []byte
+	count = min(count, maxEntries)
+	entries := make([]uint32, count)
 	if count > 0 {
-		raw, err = s.Board.Mem().Read(addr+16, count*4)
+		raw, err := mem.Read(addr+16, count*4)
 		if err != nil {
-			return ereplyMsg(CodeMem, err.Error())
+			return nil, 0, remote(CodeMem, err)
+		}
+		for i := range entries {
+			entries[i] = binary.LittleEndian.Uint32(raw[i*4:])
 		}
 	}
 	// Clear count and lost atomically with the read: the target resumes
 	// into an empty buffer with no host round trip in between.
-	if err := s.Board.Mem().Write(addr+4, []byte{0, 0, 0, 0}); err != nil {
-		return ereplyMsg(CodeMem, err.Error())
+	if err := mem.Write(addr+4, []byte{0, 0, 0, 0}); err != nil {
+		return nil, 0, remote(CodeMem, err)
 	}
-	if err := s.Board.Mem().Write(addr+12, []byte{0, 0, 0, 0}); err != nil {
-		return ereplyMsg(CodeMem, err.Error())
+	if err := mem.Write(addr+12, []byte{0, 0, 0, 0}); err != nil {
+		return nil, 0, remote(CodeMem, err)
 	}
-	s.charge(len(raw)) // response payload costs link time, as in readMem
-	return fmt.Sprintf("V%x;%s", lost, hex.EncodeToString(raw))
+	return entries, lost, nil
 }
 
-// writeRun implements vRun:<addr>,<budget>:<hexdata> — a coalesced memory
-// write plus continue. The mailbox payload and the resume that consumes it
-// always travel together, so fusing them saves one round trip per exec.
-func (s *Server) writeRun(args string) string {
-	if !s.live() {
-		return ereply(CodeTimeout)
+// WriteMemContinue coalesces a mailbox write with the resume that consumes
+// it. The two always travel together, so fusing them saves one round trip
+// per exec.
+func (s *Server) WriteMemContinue(addr uint64, data []byte, budget int64) (cpu.Stop, error) {
+	if err := s.WriteMem(addr, data); err != nil {
+		return cpu.Stop{}, err
 	}
-	colon := strings.IndexByte(args, ':')
-	if colon < 0 {
-		return ereply(CodeBadArgs)
-	}
-	comma := strings.IndexByte(args[:colon], ',')
-	if comma < 0 {
-		return ereply(CodeBadArgs)
-	}
-	addr, err := strconv.ParseUint(args[:comma], 16, 64)
-	if err != nil {
-		return ereply(CodeBadArgs)
-	}
-	budget, err := strconv.ParseInt(args[comma+1:colon], 10, 64)
-	if err != nil || budget <= 0 {
-		return ereply(CodeBadArgs)
-	}
-	data, err := hex.DecodeString(args[colon+1:])
-	if err != nil {
-		return ereply(CodeBadArgs)
-	}
-	if err := s.Board.Mem().Write(addr, data); err != nil {
-		return ereplyMsg(CodeMem, err.Error())
-	}
-	stop := s.Board.Core().Continue(budget)
-	return encodeStop(stop)
+	return s.Continue(budget)
 }
 
-// snapshot implements vSnap: the probe captures the board's flash, RAM and
-// breakpoint state as the golden image vRestore rolls back to, and resets the
-// board's dirty tracking. The capture happens probe-side, so the host pays
-// one round trip, not a full state read-back.
-func (s *Server) snapshot() string {
+// Snapshot captures the board's flash, RAM and breakpoint state as the
+// golden image RestoreSnapshot rolls back to, and resets the board's dirty
+// tracking. The capture happens probe-side, so the host pays one round
+// trip, not a full state read-back.
+func (s *Server) Snapshot() error {
 	if !s.live() {
-		return ereply(CodeTimeout)
+		return ErrTimeout
 	}
 	if err := s.Board.Snapshot(); err != nil {
-		return ereplyMsg(CodeSnap, err.Error())
+		return remote(CodeSnap, err)
 	}
-	return "OK"
+	return nil
 }
 
-// restore implements vRestore: the probe diffs the board's dirty state
-// against the cached golden snapshot, re-ships only the delta, and replays
-// the target back to its snapshot park point. One round trip replaces the
-// reset/reflash/re-arm/run-to-main sequence. The reply is
-// S<flashSectors:x>,<ramPages:x>,<restoredBytes:x>,<skippedBytes:x>.
-func (s *Server) restore() string {
+// RestoreSnapshot diffs the board's dirty state against the cached golden
+// snapshot, re-ships only the delta and replays the target back to its
+// snapshot park point. One round trip replaces the
+// reset/reflash/re-arm/run-to-main sequence. A missing snapshot earns a bare
+// CodeSnap.
+func (s *Server) RestoreSnapshot() (board.RestoreStats, error) {
 	if s.Board.State() == board.Dead {
-		return ereplyMsg(CodeDead, "board dead")
+		return board.RestoreStats{}, &RemoteError{Code: CodeDead, Msg: "board dead"}
 	}
 	if !s.Board.HasSnapshot() {
-		return ereply(CodeSnap)
+		return board.RestoreStats{}, &RemoteError{Code: CodeSnap}
 	}
 	st, err := s.Board.RestoreSnapshot()
-	if err != nil {
-		switch {
-		case errors.Is(err, board.ErrDead):
-			return ereplyMsg(CodeDead, err.Error())
-		case errors.Is(err, board.ErrNoSnapshot):
-			return ereply(CodeSnap)
-		default:
-			return ereplyMsg(CodeFlash, err.Error())
-		}
+	switch {
+	case err == nil:
+		return st, nil
+	case errors.Is(err, board.ErrDead):
+		return st, remote(CodeDead, err)
+	case errors.Is(err, board.ErrNoSnapshot):
+		return st, &RemoteError{Code: CodeSnap}
 	}
-	return fmt.Sprintf("S%x,%x,%x,%x", st.FlashSectors, st.RAMPages, st.RestoredBytes, st.SkippedBytes)
+	return st, remote(CodeFlash, err)
 }
 
-// le32 decodes a little-endian u32 at offset off.
-func le32(b []byte, off int) uint32 {
-	return uint32(b[off]) | uint32(b[off+1])<<8 | uint32(b[off+2])<<16 | uint32(b[off+3])<<24
+// DrainUART returns the console lines emitted since the previous drain.
+func (s *Server) DrainUART() ([]string, error) {
+	lines := s.Board.UART().Drain()
+	out := make([]string, len(lines))
+	for i, l := range lines {
+		out[i] = l.Text
+	}
+	return out, nil
+}
+
+// BoardState reports power/liveness state, boot count and the last boot
+// error message (empty when none).
+func (s *Server) BoardState() (board.State, int, string, error) {
+	last := ""
+	if err := s.Board.LastBootError(); err != nil {
+		last = err.Error()
+	}
+	return s.Board.State(), s.Board.BootCount(), last, nil
+}
+
+// cutData splits a <head>:<hexdata> argument and decodes the data.
+func cutData(args string) (head string, data []byte, ok bool) {
+	head, body, found := strings.Cut(args, ":")
+	if !found {
+		return "", nil, false
+	}
+	data, err := hex.DecodeString(body)
+	return head, data, err == nil
 }
 
 func parseAddrLen(s string) (addr uint64, n int, err error) {

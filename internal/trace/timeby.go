@@ -164,7 +164,7 @@ func (t TimeBy) String() string {
 }
 
 // Accountant attributes virtual-clock deltas to board-time categories. The
-// engine's timed link wrapper calls Begin/End around every debug-link
+// engine's link timing layer calls Begin/End around every debug-link
 // command; because every clock advance of a running campaign happens inside
 // some link command (adapter latency, payload transfer, executed cycles,
 // retry backoff, injected fault penalties), the accounted total equals the
