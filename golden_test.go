@@ -1,9 +1,11 @@
 package eof
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"testing"
 	"time"
 )
@@ -66,6 +68,8 @@ var goldenWant = map[string]golden{
 	"pokos/linkfaults":    {"2999190fec05c2d00ae2714c1eec0a365771fb685da91f7e1e20f498c491471d", 278, 443, 0, 0, 890, 301514209105},
 	"pokos/legacy":        {"c10b2b6c52117a5dae9d24ae674801294da83ad37354f96a4349504674eacc9e", 251, 439, 0, 0, 1259, 300121684540},
 	"freertos/tiers":      {"f9673d2dd2f878bd061c34e454bd25243c7d8a5174a9f8f92362b47b7f56a249", 3375, 1036, 23, 520, 14840, 952594230572},
+	"freertos/failover":   {"04a76251dad5cef90cd76999b08a32446ee01f3571b46ea9c0cac7660e8bcdee", 430, 848, 3, 9, 1369, 133641069530},
+	"freertos/tiers-2hw":  {"cc39a958560accf88f8a3c6069ec4f91fb89d0532ad6e5ff269a03742d5f73ce", 2686, 995, 22, 526, 12882, 388776704226},
 }
 
 func TestGoldenJournals(t *testing.T) {
@@ -73,23 +77,39 @@ func TestGoldenJournals(t *testing.T) {
 		name   string
 		opts   Options
 		budget time.Duration
+		// kinds lists event kinds the journal must contain, so the code
+		// paths the record pins are known to have run.
+		kinds []string
 	}
 	var runs []run
 	for _, osName := range Targets() {
 		for _, v := range goldenVariants {
 			opts := Options{OS: osName, Seed: 11}
 			v.set(&opts)
-			runs = append(runs, run{osName + "/" + v.name, opts, goldenBudget})
+			runs = append(runs, run{osName + "/" + v.name, opts, goldenBudget, nil})
 		}
 	}
 	// The tiered fleet drives the emulated backend's link alongside a
 	// hardware confirmation board.
-	runs = append(runs, run{"freertos/tiers", Options{OS: "freertos", Seed: 11, Tiers: true, EmulShards: 2}, goldenFleetBudget})
+	runs = append(runs, run{"freertos/tiers", Options{OS: "freertos", Seed: 11, Tiers: true, EmulShards: 2}, goldenFleetBudget, nil})
+	// A hardware fleet whose boards all die on their fourth boot: both
+	// slots are quarantined, the spare is promoted into the first and the
+	// triage board confirms findings between epochs.
+	runs = append(runs, run{"freertos/failover", Options{
+		OS: "freertos", Seed: 11, Shards: 2, Spares: 1, Triage: true, SyncEvery: time.Minute,
+		Degrade: DegradeOptions{DieAfterBoots: 4},
+	}, goldenBudget, []string{"quarantine", "spare-promote", "triage-end"}})
+	// Two hardware slots confirm the emulation tier's findings round-robin,
+	// and the triage board's events flush between the two tiers.
+	runs = append(runs, run{"freertos/tiers-2hw", Options{
+		OS: "freertos", Seed: 11, Shards: 2, Tiers: true, EmulShards: 2, Triage: true,
+	}, goldenFleetBudget, []string{"tier-confirm", "triage-end"}})
 
 	for _, r := range runs {
 		t.Run(r.name, func(t *testing.T) {
 			journal := sha256.New()
-			r.opts.TraceJSONL = journal
+			var events bytes.Buffer
+			r.opts.TraceJSONL = io.MultiWriter(journal, &events)
 			c, err := NewCampaign(r.opts)
 			if err != nil {
 				t.Fatal(err)
@@ -110,6 +130,11 @@ func TestGoldenJournals(t *testing.T) {
 			}
 			if want := goldenWant[r.name]; got != want {
 				t.Fatalf("campaign output changed:\n got  %s\n want %s", got, want)
+			}
+			for _, k := range r.kinds {
+				if !bytes.Contains(events.Bytes(), []byte(`"kind":"`+k+`"`)) {
+					t.Errorf("journal has no %q event", k)
+				}
 			}
 		})
 	}
