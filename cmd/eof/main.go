@@ -173,10 +173,7 @@ func main() {
 	}
 	budget := time.Duration(*minutes * float64(time.Minute))
 	if *tiers {
-		width := *emulWidth
-		if width <= 0 {
-			width = 4
-		}
+		_, width := eof.Footprint(opts)
 		fmt.Printf("fuzzing %s on %d %s boards + %d emulated explore shards for %v of total board time (seed %d)\n",
 			*osName, *shards, *board, width, budget, *seed)
 	} else if *shards > 1 {

@@ -93,7 +93,7 @@ type Options struct {
 	// Spares is the fleet's hot-spare pool size: extra boards held in
 	// reserve and promoted into the slot of a board that dies or turns
 	// chronically sick, re-seeded from the shared corpus at the next sync
-	// barrier. Ignored when Shards <= 1.
+	// barrier. Ignored by solo campaigns (Shards <= 1 without Tiers).
 	Spares int
 	// Tiers enables tiered execution: alongside the hardware pool, a tier
 	// of EmulShards emulated boards explores the same campaign at emulation
@@ -617,10 +617,7 @@ func NewCampaign(opts Options) (*Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	boardName := opts.Board
-	if boardName == "" {
-		boardName = boards.NameSTM32H745
-	}
+	boardName := boardOf(opts)
 	spec := boards.ByName(boardName)
 	if spec == nil {
 		return nil, fmt.Errorf("eof: unknown board %q (have %v)", boardName, Boards())
@@ -692,36 +689,10 @@ func NewCampaign(opts Options) (*Campaign, error) {
 		cfg.SampleEvery = opts.SampleEvery
 	}
 	cfg.FlightRecorder = opts.FlightRecorder
-	emulShards := 0
-	if opts.Tiers {
-		emulShards = opts.EmulShards
-		if emulShards <= 0 {
-			emulShards = 4
-		}
-	}
-	shards := opts.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	fleetMode := shards > 1 || emulShards > 0
-	// emulStart is the emulation tier's first physical board index: the
-	// hardware slots, then the spares, then the triage board when manned.
-	emulStart := -1
-	if emulShards > 0 {
-		emulStart = shards + opts.Spares
-		if opts.Triage {
-			emulStart++
-		}
-	}
+	lay, fleetMode := layoutOf(opts)
 	if opts.TraceJSONL != nil {
-		hdr := trace.Header{
-			OS: info.Name, Board: boardName, Seed: cfg.Seed, Shards: shards,
-			EmulShards: emulShards, Digest: optionsDigest(opts),
-		}
-		if fleetMode {
-			hdr.Spares = opts.Spares
-			hdr.Triage = opts.Triage
-		}
+		hdr := lay
+		hdr.OS, hdr.Board, hdr.Seed, hdr.Digest = info.Name, boardName, cfg.Seed, optionsDigest(opts)
 		if _, err := opts.TraceJSONL.Write(trace.AppendHeaderJSON(nil, hdr)); err != nil {
 			return nil, fmt.Errorf("eof: journal header: %w", err)
 		}
@@ -733,10 +704,13 @@ func NewCampaign(opts Options) (*Campaign, error) {
 			w = os.Stderr
 		}
 		status := trace.NewStatus(w, opts.StatusEvery)
-		status.SetEmulStart(emulStart)
+		status.SetEmulStart(lay.EmulStart())
 		cfg.StatusSink = status
 	}
-	c := &Campaign{shards: shards}
+	c := &Campaign{shards: lay.Shards, syncEvery: opts.SyncEvery}
+	if c.syncEvery <= 0 {
+		c.syncEvery = fleet.DefaultSyncEvery
+	}
 	if store != nil {
 		popts := corpus.PersisterOptions{
 			Seed:         cfg.Seed,
@@ -754,14 +728,10 @@ func NewCampaign(opts Options) (*Campaign, error) {
 			c.resumed = true
 		}
 		c.persist = corpus.NewPersister(store, popts)
-		c.syncEvery = opts.SyncEvery
-		if c.syncEvery <= 0 {
-			c.syncEvery = fleet.DefaultSyncEvery
-		}
 	}
 	if opts.MetricsAddr != "" {
 		reg := metrics.NewRegistry()
-		c.metricsSink = metrics.NewSink(reg, emulStart)
+		c.metricsSink = metrics.NewSink(reg, lay.EmulStart())
 		srv, err := metrics.Serve(opts.MetricsAddr, reg, c.metricsSink.Status)
 		if err != nil {
 			return nil, err
@@ -773,10 +743,10 @@ func NewCampaign(opts Options) (*Campaign, error) {
 	}
 	if fleetMode {
 		pool, err := fleet.New(cfg, fleet.Options{
-			Shards:     opts.Shards,
+			Shards:     lay.Shards,
 			SyncEvery:  opts.SyncEvery,
-			Spares:     opts.Spares,
-			EmulShards: emulShards,
+			Spares:     lay.Spares,
+			EmulShards: lay.EmulShards,
 			Persist:    c.persist,
 		})
 		if err != nil {
@@ -804,6 +774,54 @@ func NewCampaign(opts Options) (*Campaign, error) {
 		c.resumedSeeds = seeds
 	}
 	return c, nil
+}
+
+// defaultEmulShards is the emulation tier's width when Options.Tiers is set
+// and Options.EmulShards is not.
+const defaultEmulShards = 4
+
+// layoutOf returns the campaign's physical board layout (see fleet.Layout)
+// and whether it runs as a fleet. Options.Tiers or more than one shard makes
+// a fleet; otherwise the campaign is solo, on one board with inline triage,
+// and Spares is ignored.
+func layoutOf(opts Options) (lay trace.Header, fleetMode bool) {
+	fo := fleet.Options{Shards: opts.Shards, Spares: opts.Spares}
+	if opts.Tiers {
+		fo.EmulShards = opts.EmulShards
+		if fo.EmulShards <= 0 {
+			fo.EmulShards = defaultEmulShards
+		}
+	}
+	if opts.Shards <= 1 && fo.EmulShards == 0 {
+		return trace.Header{Shards: 1}, false
+	}
+	return fleet.Layout(fo, opts.Triage), true
+}
+
+// Footprint returns the boards a campaign with these options runs on:
+// hardware counts its shards, hot spares and the fleet triage board — what
+// it occupies of a board pool — and emulation its emulated explore shards,
+// which run on compute, not pool hardware.
+func Footprint(opts Options) (hardware, emulation int) {
+	lay, _ := layoutOf(opts)
+	return lay.HardwareBoards(), lay.EmulShards
+}
+
+// HasCheckpoint reports whether the durable store a campaign with these
+// options would open (Options.CorpusDir, CorpusNamespace, OS and Board)
+// already holds a committed checkpoint, i.e. whether Resume has state to
+// continue from.
+func HasCheckpoint(opts Options) bool {
+	return corpus.HasCheckpoint(opts.CorpusDir, opts.CorpusNamespace, opts.OS, boardOf(opts))
+}
+
+// boardOf returns the board a campaign runs on: Options.Board, or the
+// default stm32h745.
+func boardOf(opts Options) string {
+	if opts.Board == "" {
+		return boards.NameSTM32H745
+	}
+	return opts.Board
 }
 
 // buildResumeDelta converts persisted store state into the sync delta that
@@ -862,13 +880,10 @@ func optionsDigest(opts Options) string {
 func (c *Campaign) Run(budget time.Duration) (*Report, error) {
 	var rep *core.Report
 	var err error
-	switch {
-	case c.pool != nil:
+	if c.pool != nil {
 		rep, err = c.pool.Run(budget)
-	case c.persist != nil:
-		rep, err = c.runSoloPersist(budget)
-	default:
-		rep, err = c.engine.Run(budget)
+	} else {
+		rep, err = c.runSolo(budget)
 	}
 	if err != nil {
 		return nil, err
@@ -898,31 +913,35 @@ func (c *Campaign) RequestStop() {
 	c.engine.RequestStop()
 }
 
-// runSoloPersist is engine.Run with the budget cut into checkpoint epochs:
-// RunFor slices toward absolute virtual deadlines, with a persistence barrier
-// after each slice. Because the engine checks its deadline only between
-// iterations and the barrier touches no engine state (the sync delta it
-// drains is solo-idle), the iteration sequence — and thus the journal and
-// report — is exactly what one unsliced RunFor would produce.
-func (c *Campaign) runSoloPersist(budget time.Duration) (*core.Report, error) {
+// runSolo is engine.Run with the budget cut into epochs: RunFor slices toward
+// absolute virtual deadlines, with a persistence barrier after each slice
+// when the campaign has a store. Without one the whole budget is a single
+// slice. Because the engine checks its deadline only between iterations and
+// the barrier touches no engine state (the sync delta it drains is
+// solo-idle), the iteration sequence — and thus the journal and report — is
+// exactly what one unsliced RunFor would produce.
+func (c *Campaign) runSolo(budget time.Duration) (*core.Report, error) {
 	e := c.engine
 	if err := e.Setup(); err != nil {
 		return nil, err
+	}
+	every := budget
+	if c.persist != nil {
+		every = c.syncEvery
 	}
 	clock := e.Clock()
 	start := clock.Now()
 	end := start + budget
 	for epoch := 1; clock.Now() < end; epoch++ {
-		slice := c.syncEvery
-		if rem := end - clock.Now(); slice > rem {
-			slice = rem
-		}
-		if err := e.RunFor(slice); err != nil {
+		if err := e.RunFor(min(every, end-clock.Now())); err != nil {
 			return nil, err
 		}
-		if err := c.soloBarrier(epoch, clock.Now()-start); err != nil {
-			return nil, err
+		if c.persist != nil {
+			if err := c.soloBarrier(epoch, clock.Now()-start); err != nil {
+				return nil, err
+			}
 		}
+		// A stop request ends RunFor early; the deadline is still ahead.
 		if c.stop.Load() {
 			break
 		}
@@ -937,24 +956,18 @@ func (c *Campaign) runSoloPersist(budget time.Duration) (*core.Report, error) {
 // crash clusters and the single shard cursor.
 func (c *Campaign) soloBarrier(epoch int, elapsed time.Duration) error {
 	e := c.engine
-	d := e.DrainSyncDelta()
-	b := corpus.Barrier{
-		Epoch:    epoch,
-		Elapsed:  elapsed,
-		Edges:    e.CollectorEdges(),
-		Clusters: e.KnownClusters(),
-		Cursors:  []corpus.ShardCursor{{Shard: 0, Execs: e.Execs()}},
+	adm, err := fleet.Admissions(e.DrainSyncDelta(), 0)
+	if err != nil {
+		return fmt.Errorf("eof: %w", err)
 	}
-	for _, s := range d.Seeds {
-		blob, err := prog.ToJSON(s.P)
-		if err != nil {
-			return fmt.Errorf("eof: persist seed: %w", err)
-		}
-		b.Admissions = append(b.Admissions, corpus.Admission{
-			Prog: blob, NewEdges: s.NewEdges, Edges: s.Edges,
-		})
-	}
-	return c.persist.Barrier(b)
+	return c.persist.Barrier(corpus.Barrier{
+		Epoch:      epoch,
+		Elapsed:    elapsed,
+		Edges:      e.CollectorEdges(),
+		Clusters:   e.KnownClusters(),
+		Cursors:    []corpus.ShardCursor{{Shard: 0, Execs: e.Execs()}},
+		Admissions: adm,
+	})
 }
 
 // persistReport snapshots the persistence layer for the public report (nil

@@ -12,7 +12,6 @@ import (
 	"github.com/eof-fuzz/eof/internal/backend"
 	"github.com/eof-fuzz/eof/internal/board"
 	"github.com/eof-fuzz/eof/internal/link"
-	"github.com/eof-fuzz/eof/internal/ocd"
 	"github.com/eof-fuzz/eof/internal/osinfo"
 	"github.com/eof-fuzz/eof/internal/trace"
 )
@@ -39,19 +38,22 @@ func DefaultWatchdogs() Watchdogs {
 	}
 }
 
-// Monitors selects the bug detectors.
-type Monitors struct {
-	// Log matches crash/assert patterns in the UART stream.
-	Log bool
-	// Exception plants breakpoints at the OS's exception functions and
-	// reads the fault status block when they fire.
-	Exception bool
-}
-
-// DefaultMonitors enables both detectors.
-func DefaultMonitors() Monitors {
-	return Monitors{Log: true, Exception: true}
-}
+// Engine constants. Both bug detectors always run: the log monitor matches
+// crash/assert patterns in the UART stream, and the exception monitor plants
+// breakpoints at the OS's exception functions and reads the fault status
+// block when they fire.
+const (
+	// continueBudget is the per-continue block budget (the debugger's
+	// halt-and-inspect interval).
+	continueBudget = 500_000
+	// maxContinues hard-caps debugger round-trips per test case so a
+	// watchdog-less configuration cannot livelock; hitting it counts as a
+	// manual intervention.
+	maxContinues = 256
+	// mutateBias is the probability of mutating a corpus seed instead of
+	// generating fresh, when the corpus is non-empty.
+	mutateBias = 0.7
+)
 
 // Config parameterises one engine instance.
 type Config struct {
@@ -81,22 +83,9 @@ type Config struct {
 	APIAware bool
 
 	Watchdogs Watchdogs
-	Monitors  Monitors
 
-	// ContinueBudget is the per-continue block budget (the debugger's
-	// halt-and-inspect interval).
-	ContinueBudget int64
-	// MaxContinues hard-caps debugger round-trips per test case so a
-	// watchdog-less configuration cannot livelock; hitting it counts as a
-	// manual intervention.
-	MaxContinues int
 	// MaxCalls bounds generated program length.
 	MaxCalls int
-	// MutateBias is the probability of mutating a corpus seed instead of
-	// generating fresh, when the corpus is non-empty.
-	MutateBias float64
-	// Latency overrides the debug-adapter cost model (zero value = default).
-	Latency ocd.Latency
 	// SampleEvery sets the coverage time-series resolution.
 	SampleEvery time.Duration
 
@@ -129,9 +118,6 @@ type Config struct {
 	// retries of transient link faults (0 = link.DefaultRetries, negative
 	// disables retries so every fault surfaces to the watchdogs).
 	LinkRetries int
-	// LinkBackoff is the base retry backoff charged to the virtual clock,
-	// doubling per attempt (0 = link.DefaultBackoff).
-	LinkBackoff time.Duration
 
 	// Triage configures the crash-triage pipeline: replay confirmation,
 	// ddmin minimization and cluster-keyed repro emission. The zero value
@@ -186,12 +172,7 @@ func DefaultConfig(os *osinfo.Info, spec *board.Spec) Config {
 		FeedbackGuided: true,
 		APIAware:       true,
 		Watchdogs:      DefaultWatchdogs(),
-		Monitors:       DefaultMonitors(),
-		ContinueBudget: 500_000,
-		MaxContinues:   256,
 		MaxCalls:       10,
-		MutateBias:     0.7,
-		Latency:        ocd.DefaultLatency(),
 		SampleEvery:    5 * time.Minute,
 	}
 }

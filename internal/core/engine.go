@@ -368,18 +368,6 @@ type Engine struct {
 // NewEngine builds the full stack: images, board, debug server and client,
 // specification pipeline and generator. The returned engine owns the board.
 func NewEngine(cfg Config) (*Engine, error) {
-	if cfg.ContinueBudget <= 0 {
-		cfg.ContinueBudget = 500_000
-	}
-	if cfg.MaxContinues <= 0 {
-		cfg.MaxContinues = 256
-	}
-	if cfg.MaxCalls <= 0 {
-		cfg.MaxCalls = 10
-	}
-	if cfg.Latency == (ocd.Latency{}) {
-		cfg.Latency = ocd.DefaultLatency()
-	}
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = 5 * time.Minute
 	}
@@ -429,7 +417,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		Spec:    cfg.Board,
 		Images:  images,
 		Clock:   clock,
-		Latency: cfg.Latency,
+		Latency: ocd.DefaultLatency(),
 		Degrade: dcfg,
 	})
 	if err != nil {
@@ -467,12 +455,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.tracer.SetSink(cfg.TraceSink)
 	e.tracer.SetLive(cfg.StatusSink)
 	e.mainAddr = syms.Addr(agent.SymExecutorMain)
-	if cfg.Monitors.Exception {
-		for _, name := range osInfo.ExceptionSyms {
-			e.excAddrs[syms.Addr(name)] = name
-		}
-		e.excAddrs[syms.Addr(agent.SymHandleException)] = agent.SymHandleException
+	for _, name := range osInfo.ExceptionSyms {
+		e.excAddrs[syms.Addr(name)] = name
 	}
+	e.excAddrs[syms.Addr(agent.SymHandleException)] = agent.SymHandleException
 	return e, nil
 }
 
@@ -536,19 +522,6 @@ func (e *Engine) Health() Health { return e.health }
 // union), so sibling shards can feed it concurrently without disturbing the
 // per-shard deterministic state. Must be set before Setup.
 func (e *Engine) SetSharedSink(c *cov.Collector) { e.shared = c }
-
-// SetFocus biases fresh generation toward the named calls (the fleet
-// sharder's soft search-space partitioning). Must be called before Run.
-func (e *Engine) SetFocus(names []string, boost float64) { e.gen.SetFocus(names, boost) }
-
-// SpecCalls returns the target specification's call names in spec order.
-func (e *Engine) SpecCalls() []string {
-	out := make([]string, len(e.target.Spec.Calls))
-	for i, c := range e.target.Spec.Calls {
-		out[i] = c.Name
-	}
-	return out
-}
 
 // RequestStop asks the engine to stop fuzzing at the next iteration
 // boundary. Safe to call from another goroutine (signal handlers); RunFor
@@ -687,7 +660,6 @@ func (e *Engine) buildLinkStack() link.Link {
 	l = e.metrics.Wrap(l)
 	e.session = link.NewSession(l, link.SessionConfig{
 		MaxRetries: e.cfg.LinkRetries,
-		Backoff:    e.cfg.LinkBackoff,
 		Clock:      e.clock,
 		Reconnect: func() error {
 			if e.injector != nil {
@@ -845,7 +817,7 @@ func (e *Engine) sampleForce() {
 // nextProg picks the next input: mutate a corpus seed under feedback
 // guidance, otherwise generate fresh from the specification.
 func (e *Engine) nextProg() *prog.Prog {
-	if e.cfg.FeedbackGuided && e.corpus.Len() > 0 && e.rnd.Float64() < e.cfg.MutateBias {
+	if e.cfg.FeedbackGuided && e.corpus.Len() > 0 && e.rnd.Float64() < mutateBias {
 		if s := e.corpus.Pick(e.rnd); s != nil {
 			return e.gen.Mutate(s.P)
 		}
@@ -921,7 +893,7 @@ func (e *Engine) packProg(p *prog.Prog) ([]byte, error) {
 // are two commands, with the write's timeout handled as a boot failure.
 func (e *Engine) deliverAndResume(buf []byte) (cpu.Stop, bool, error) {
 	if e.vectored {
-		st, err := e.client.WriteMemContinue(e.lay.MailboxIn, buf, e.cfg.ContinueBudget)
+		st, err := e.client.WriteMemContinue(e.lay.MailboxIn, buf, continueBudget)
 		if !isBadCmd(err) {
 			return st, true, err
 		}
@@ -930,7 +902,7 @@ func (e *Engine) deliverAndResume(buf []byte) (cpu.Stop, bool, error) {
 	if err := e.client.WriteMem(e.lay.MailboxIn, buf); err != nil {
 		return cpu.Stop{}, false, err
 	}
-	st, err := e.client.Continue(e.cfg.ContinueBudget)
+	st, err := e.client.Continue(continueBudget)
 	return st, true, err
 }
 
@@ -946,7 +918,7 @@ func isBadCmd(err error) bool {
 func (e *Engine) pumpToMain(p *prog.Prog, buf []byte) error {
 	start := e.clock.Now()
 	e.pristine = false
-	for i := 0; i < e.cfg.MaxContinues; i++ {
+	for i := 0; i < maxContinues; i++ {
 		var st cpu.Stop
 		var delivered bool
 		var err error
@@ -961,7 +933,7 @@ func (e *Engine) pumpToMain(p *prog.Prog, buf []byte) error {
 				return err
 			}
 		} else {
-			st, err = e.client.Continue(e.cfg.ContinueBudget)
+			st, err = e.client.Continue(continueBudget)
 		}
 		if err != nil {
 			if errors.Is(err, ocd.ErrTimeout) && e.cfg.Watchdogs.ConnectionTimeout {
@@ -998,13 +970,11 @@ func (e *Engine) pumpToMain(p *prog.Prog, buf []byte) error {
 				return err
 			}
 		case cpu.StopFault:
-			// No exception breakpoint fired (monitor off or symbol not
-			// armed); the halt itself still reveals the crash on the link.
-			if e.cfg.Monitors.Exception {
-				e.onFaultStop(st, p)
-				if !e.triaging {
-					e.stats.Crashes++
-				}
+			// No exception breakpoint fired (symbol not armed); the halt
+			// itself still reveals the crash on the link.
+			e.onFaultStop(st, p)
+			if !e.triaging {
+				e.stats.Crashes++
 			}
 			return e.restore("fault")
 		case cpu.StopBudget:
@@ -1143,7 +1113,7 @@ func (e *Engine) scanLog(p *prog.Prog) error {
 		return err
 	}
 	sig, line, ok := e.logMon.Scan(lines)
-	if !ok || !e.cfg.Monitors.Log {
+	if !ok {
 		return nil
 	}
 	kind := "assert"
@@ -1533,7 +1503,7 @@ func (e *Engine) powerCycle() error {
 // budget returns a ladder-escalatable error rather than a campaign-fatal one.
 func (e *Engine) runToMain() error {
 	for i := 0; i < e.cfg.Health.MaxResumes; i++ {
-		st, err := e.client.Continue(e.cfg.ContinueBudget)
+		st, err := e.client.Continue(continueBudget)
 		if err != nil {
 			return fmt.Errorf("core: run to executor_main: %w", err)
 		}

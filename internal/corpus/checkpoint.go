@@ -127,9 +127,9 @@ func (s *Store) WriteCheckpoint(ck *Checkpoint) error {
 	if err != nil {
 		return err
 	}
-	cur := s.checkpointPath()
+	cur, prev := checkpointFiles(s.dir)
 	if _, err := os.Stat(cur); err == nil {
-		if err := os.Rename(cur, s.checkpointPrevPath()); err != nil {
+		if err := os.Rename(cur, prev); err != nil {
 			return fmt.Errorf("corpus: checkpoint rotate: %w", err)
 		}
 	}
@@ -145,7 +145,8 @@ func (s *Store) WriteCheckpoint(ck *Checkpoint) error {
 // A store with no readable checkpoint returns (nil, nil) — an empty store
 // is not an error, it is a fresh campaign.
 func (s *Store) LoadCheckpoint() (*Checkpoint, error) {
-	for _, path := range []string{s.checkpointPath(), s.checkpointPrevPath()} {
+	cur, prev := checkpointFiles(s.dir)
+	for _, path := range []string{cur, prev} {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			if !os.IsNotExist(err) {
@@ -169,8 +170,25 @@ func (s *Store) LoadCheckpoint() (*Checkpoint, error) {
 	return nil, nil
 }
 
-func (s *Store) checkpointPath() string     { return filepath.Join(s.dir, "checkpoint.json") }
-func (s *Store) checkpointPrevPath() string { return filepath.Join(s.dir, "checkpoint.prev.json") }
+// checkpointFiles returns the current and rotated checkpoint paths of the
+// store directory dir.
+func checkpointFiles(dir string) (cur, prev string) {
+	return filepath.Join(dir, "checkpoint.json"), filepath.Join(dir, "checkpoint.prev.json")
+}
+
+// HasCheckpoint reports whether the store namespace OpenNamespace(root,
+// namespace, osName, board) would open holds a checkpoint file (current or
+// rotated), without opening it or creating any directory. A true result
+// means Resume has state to try; LoadCheckpoint still validates it.
+func HasCheckpoint(root, namespace, osName, board string) bool {
+	cur, prev := checkpointFiles(dirFor(root, namespace, osName, board))
+	for _, path := range []string{cur, prev} {
+		if _, err := os.Stat(path); err == nil {
+			return true
+		}
+	}
+	return false
+}
 
 // Resume is everything a campaign rebuilds its state from: the last good
 // checkpoint (nil when the store never completed a barrier) and the verified

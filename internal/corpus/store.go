@@ -96,7 +96,16 @@ func HashBlob(blob []byte) string {
 // a damaged blob quarantined), a warning is recorded, and the store carries
 // on with every verified entry.
 func Open(root, osName, board string) (*Store, error) {
-	return openDir(root, filepath.Join(root, osName, board), osName, board)
+	return openDir(root, dirFor(root, "", osName, board), osName, board)
+}
+
+// dirFor returns the directory of a store namespace: <root>/<os>/<board>,
+// or <root>/ns/<namespace>/<os>/<board> for a non-empty namespace.
+func dirFor(root, namespace, osName, board string) string {
+	if namespace == "" {
+		return filepath.Join(root, osName, board)
+	}
+	return filepath.Join(root, "ns", namespace, osName, board)
 }
 
 // OpenNamespace opens a per-campaign namespace of the store root: the same
@@ -114,7 +123,7 @@ func OpenNamespace(root, namespace, osName, board string) (*Store, error) {
 	if !ValidNamespace(namespace) {
 		return nil, fmt.Errorf("corpus: invalid namespace %q (want [a-zA-Z0-9._-]+, not . or ..)", namespace)
 	}
-	return openDir(root, filepath.Join(root, "ns", namespace, osName, board), osName, board)
+	return openDir(root, dirFor(root, namespace, osName, board), osName, board)
 }
 
 // ValidNamespace reports whether a campaign namespace is safe to use as a

@@ -72,11 +72,6 @@ type Options struct {
 	// SyncEvery is the virtual interval between feedback-exchange barriers
 	// (default DefaultSyncEvery).
 	SyncEvery time.Duration
-	// FocusBoost, when positive, soft-partitions the search space: shard i
-	// biases fresh generation toward every i-th spec call by adding this
-	// weight, without removing any call from any shard. Zero disables
-	// focus (all shards explore uniformly, differing only by seed).
-	FocusBoost float64
 	// Spares is the hot-spare pool size: boards built alongside the shards
 	// (physical indices Shards..Shards+Spares-1) but held powered off until
 	// the supervisor promotes one into a quarantined slot.
@@ -101,41 +96,96 @@ type Options struct {
 	Persist *corpus.Persister
 }
 
+// Layout returns the physical board layout of a fleet with opts's shape, as
+// the journal header's topology fields: the shards first, then the spares,
+// then the triage board when triage is enabled, then the emulation shards.
+// Counts are normalised the way New applies them (at least one shard, no
+// negative spares or emulation shards). Everything that needs a board's
+// physical index — New, the journal header, the live status and metrics
+// sinks, the daemon's footprint — derives it from this one layout.
+func Layout(opts Options, triage bool) trace.Header {
+	return trace.Header{
+		Shards:     max(opts.Shards, 1),
+		Spares:     max(opts.Spares, 0),
+		Triage:     triage,
+		EmulShards: max(opts.EmulShards, 0),
+	}
+}
+
+// tier is one class of boards driven through the same epoch loop: the
+// hardware pool (the ground truth) or the emulation explore tier. Each tier
+// runs its manned slots concurrently, feeds its own shared collector,
+// exchanges feedback at every barrier and quarantines its dead boards; only
+// the hardware tier has spares, so a lost emulation shard just narrows its
+// tier.
+type tier struct {
+	class  backend.Class
+	boards []int // every physical board the tier owns, ascending
+	// slots maps each slot to the physical board serving it (-1 when the
+	// slot is unmanned because the spare pool ran dry); spares is the FIFO
+	// of boards still in reserve.
+	slots  []int
+	spares []int
+	shared *cov.Collector
+	series []core.CoverSample
+	// flushQueue holds, per slot, retired boards whose final events (ending
+	// in their quarantine) must flush before the slot's current occupant's
+	// stream.
+	flushQueue [][]int
+}
+
+// manned returns how many of the tier's slots currently have a board.
+func (t *tier) manned() int {
+	n := 0
+	for _, b := range t.slots {
+		if b >= 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// tierEpoch is one tier's view of an epoch: the boards that ran it (a
+// snapshot of the slots taken before the slice), their RunFor errors
+// (non-nil only for boards that died) and the sync deltas they drained.
+type tierEpoch struct {
+	occ    []int
+	errs   []error
+	deltas []core.SyncDelta
+}
+
 // Fleet is one sharded campaign over a board pool with hot-spare failover.
 type Fleet struct {
 	opts    Options
-	engines []*core.Engine // physical boards: shards first, then spares
-	shared  *cov.Collector
+	engines []*core.Engine // physical boards, in Layout order
 	ran     bool
+
+	// tiers holds the hardware pool first, then the emulation tier when
+	// EmulShards > 0. Feedback flows toward emulation only: a tier imports
+	// from itself and from every tier closer to hardware ground truth.
+	// active marks boards that were ever powered on (their reports merge
+	// into the campaign report).
+	tiers  []*tier
+	active []bool
 
 	// stop is the graceful-shutdown flag: set from a signal handler, checked
 	// after each epoch barrier so the campaign drains with a final durable
 	// checkpoint instead of dying mid-epoch.
 	stop atomic.Bool
 
-	// slots maps each shard slot to the physical board serving it (-1 when
-	// the slot is unmanned because the spare pool ran dry); spares is the
-	// FIFO of boards still in reserve; active marks boards that were ever
-	// powered on (their reports merge into the campaign report).
-	slots  []int
-	spares []int
-	active []bool
-
-	// history accumulates every broadcast delta so a promoted spare can be
-	// re-seeded with the fleet's collective feedback at promotion time.
+	// history accumulates every hardware broadcast delta so a promoted spare
+	// can be re-seeded with the fleet's collective feedback at promotion
+	// time.
 	history     core.SyncDelta
 	quarantines []core.Quarantine
 
 	sickThreshold float64
 
 	// journal is the campaign-level trace sink (cfg.TraceSink); each board
-	// writes into its own buffer, drained into the journal in slot order at
-	// every epoch barrier so the merged stream is deterministic. flushQueue
-	// holds, per slot, retired boards whose final events (ending in their
-	// quarantine) must flush before the slot's current occupant's stream.
-	journal    trace.Sink
-	buffers    []*trace.Buffer
-	flushQueue [][]int
+	// writes into its own buffer, drained into the journal in tier and slot
+	// order at every epoch barrier so the merged stream is deterministic.
+	journal trace.Sink
+	buffers []*trace.Buffer
 
 	// triageIdx is the dedicated triage board's physical index (after the
 	// spares; -1 when triage is disabled). Shards run with deferred triage
@@ -148,16 +198,8 @@ type Fleet struct {
 	triageDead bool
 	triaged    map[string]*core.BugReport
 
-	// Emulation tier state. emulIdx lists the emulated boards' physical
-	// indices (immutable, used for journal flushing); emulSlots mirrors it
-	// but drops to -1 when a shard is quarantined. Emulation coverage feeds
-	// its own shared collector — emulation edges reach the hardware
-	// collector only through a confirmed hardware replay. confirmNext is the
-	// persistent round-robin cursor over manned hardware slots for
-	// confirmation replays.
-	emulIdx     []int
-	emulSlots   []int
-	emulShared  *cov.Collector
+	// Confirmation state: confirmNext is the persistent round-robin cursor
+	// over manned hardware slots for replays of emulation findings.
 	confirmNext int
 	divergences []core.TierDivergence
 	confirmed   int
@@ -166,60 +208,73 @@ type Fleet struct {
 	shardReports []*core.Report
 }
 
-// New builds a pool of opts.Shards+opts.Spares engines from cfg. Physical
-// board i runs with seed cfg.Seed + i*stride and feeds the fleet-wide shared
-// collector; shard slots also receive their round-robin slice of the API
-// surface as a soft generation bias when FocusBoost is set (a promoted spare
-// inherits its slot's focus). The board seed also feeds each board's
-// link-fault injector and degradation model (when their Seeds are zero), so
-// every board in the pool ages and faults deterministically but differently.
+// New builds the pool Layout(opts, cfg.Triage.Enabled) describes. Physical
+// board i runs with seed cfg.Seed + i*stride and feeds its tier's shared
+// collector. The board seed also feeds each board's link-fault injector and
+// degradation model (when their Seeds are zero), so every board in the pool
+// ages and faults deterministically but differently.
 func New(cfg core.Config, opts Options) (*Fleet, error) {
-	if opts.Shards <= 0 {
-		opts.Shards = 1
-	}
-	if opts.Spares < 0 {
-		opts.Spares = 0
-	}
 	if opts.SyncEvery <= 0 {
 		opts.SyncEvery = DefaultSyncEvery
 	}
-	if opts.EmulShards < 0 {
-		opts.EmulShards = 0
-	}
+	lay := Layout(opts, cfg.Triage.Enabled)
 	f := &Fleet{
 		opts:          opts,
-		shared:        cov.NewCollector(),
 		sickThreshold: cfg.Health.WithDefaults().SickThreshold,
+		journal:       cfg.TraceSink,
 		triageIdx:     -1,
 		triaged:       make(map[string]*core.BugReport),
 	}
-	if opts.EmulShards > 0 {
-		f.emulShared = cov.NewCollector()
+	hw := &tier{class: backend.HW, shared: cov.NewCollector()}
+	f.tiers = []*tier{hw}
+	emul := hw
+	if lay.EmulShards > 0 {
+		emul = &tier{class: backend.Emul, shared: cov.NewCollector()}
+		f.tiers = append(f.tiers, emul)
 	}
-	if cfg.TraceSink != nil {
-		f.journal = cfg.TraceSink
-	}
-	total := opts.Shards + opts.Spares
-	boards := total
-	if cfg.Triage.Enabled {
+	if lay.Triage {
 		// One extra physical board, dedicated to triage: shards defer
 		// (enqueue only) and the barrier drains their queues onto it.
-		f.triageIdx = total
-		boards = total + 1
+		f.triageIdx = lay.HardwareBoards() - 1
 	}
-	for i := 0; i < boards; i++ {
+	// The emulation tier's boards come last, so every hardware board keeps
+	// the physical index — and therefore the seed, fault stream and journal
+	// position — it would have in an untiered fleet.
+	emulStart := lay.HardwareBoards()
+	for i := 0; i < emulStart+lay.EmulShards; i++ {
 		scfg := cfg
 		scfg.Seed = cfg.Seed + int64(i)*shardSeedStride
 		scfg.Shard = i
+		t := hw
+		switch {
+		case i >= emulStart:
+			t = emul
+			t.slots = append(t.slots, i)
+			scfg.Backend = backend.Emulated()
+			scfg.Board = backend.EmulSpecFor(cfg.Board)
+			scfg.ConfirmCapture = true
+			// Emulation findings are provisional: no triage, no link faults,
+			// no hardware aging — the VM substrate has none of those failure
+			// modes, and crashes are confirmed (and then triaged) on hardware
+			// instead.
+			scfg.Triage = core.TriageConfig{}
+			scfg.LinkFaults = link.FaultConfig{}
+			scfg.Degrade = board.DegradeConfig{}
+		case i == f.triageIdx:
+		case i < lay.Shards:
+			hw.slots = append(hw.slots, i)
+		default:
+			hw.spares = append(hw.spares, i)
+		}
 		if scfg.Triage.Enabled {
 			scfg.Triage.Deferred = true
 		}
-		if i < len(opts.Degrade) && i < total {
+		if i < len(opts.Degrade) && i < lay.Shards+lay.Spares {
 			scfg.Degrade = opts.Degrade[i]
 		}
 		if f.journal != nil {
-			// Buffer per board; the Run loop merges in slot order at each
-			// barrier so the journal stays deterministic. The live StatusSink
+			// Buffer per board; the barrier merges in tier and slot order so
+			// the journal stays deterministic. The live StatusSink
 			// (thread-safe by contract) stays attached directly.
 			buf := trace.NewBuffer()
 			f.buffers = append(f.buffers, buf)
@@ -230,86 +285,24 @@ func New(cfg core.Config, opts Options) (*Fleet, error) {
 			f.Close()
 			return nil, fmt.Errorf("fleet: board %d: %w", i, err)
 		}
-		e.SetSharedSink(f.shared)
-		switch {
-		case i < opts.Shards:
-			f.setFocus(e, i)
-			f.slots = append(f.slots, i)
-		case i < total:
-			f.spares = append(f.spares, i)
-		}
+		e.SetSharedSink(t.shared)
+		t.boards = append(t.boards, i)
 		f.engines = append(f.engines, e)
 	}
-	// The emulation tier's boards come last, so every hardware board keeps
-	// the physical index — and therefore the seed, fault stream and journal
-	// position — it would have in an untiered fleet.
-	for j := 0; j < opts.EmulShards; j++ {
-		i := boards + j
-		scfg := cfg
-		scfg.Seed = cfg.Seed + int64(i)*shardSeedStride
-		scfg.Shard = i
-		scfg.Backend = backend.Emulated()
-		scfg.Board = backend.EmulSpecFor(cfg.Board)
-		scfg.ConfirmCapture = true
-		// Emulation findings are provisional: no triage, no link faults, no
-		// hardware aging — the VM substrate has none of those failure modes,
-		// and crashes are confirmed (and then triaged) on hardware instead.
-		scfg.Triage = core.TriageConfig{}
-		scfg.LinkFaults = link.FaultConfig{}
-		scfg.Degrade = board.DegradeConfig{}
-		if f.journal != nil {
-			buf := trace.NewBuffer()
-			f.buffers = append(f.buffers, buf)
-			scfg.TraceSink = buf
-		}
-		e, err := core.NewEngine(scfg)
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("fleet: emul shard %d: %w", j, err)
-		}
-		e.SetSharedSink(f.emulShared)
-		f.emulIdx = append(f.emulIdx, i)
-		f.emulSlots = append(f.emulSlots, i)
-		f.engines = append(f.engines, e)
+	for _, t := range f.tiers {
+		t.flushQueue = make([][]int, len(t.slots))
 	}
 	f.active = make([]bool, len(f.engines))
-	f.flushQueue = make([][]int, opts.Shards)
 	return f, nil
 }
 
-// setFocus applies slot's round-robin soft partition of the API surface to e.
-func (f *Fleet) setFocus(e *core.Engine, slot int) {
-	if f.opts.FocusBoost <= 0 || f.opts.Shards <= 1 {
-		return
-	}
-	var names []string
-	for j, name := range e.SpecCalls() {
-		if j%f.opts.Shards == slot {
-			names = append(names, name)
-		}
-	}
-	e.SetFocus(names, f.opts.FocusBoost)
-}
-
-// Engines exposes the pool (shards first, then spares) for tests and
-// experiment harnesses.
+// Engines exposes the pool in physical-board order (shards, spares, the
+// triage board, then the emulation tier) for tests and experiment harnesses.
 func (f *Fleet) Engines() []*core.Engine { return f.engines }
 
 // SharedEdges returns the hardware tier's fleet-wide distinct edge count so
 // far (the campaign's ground-truth coverage).
-func (f *Fleet) SharedEdges() int { return f.shared.Total() }
-
-// EmulEdges returns the emulation tier's distinct edge count so far (zero in
-// an untiered fleet).
-func (f *Fleet) EmulEdges() int {
-	if f.emulShared == nil {
-		return 0
-	}
-	return f.emulShared.Total()
-}
-
-// Divergences returns the cross-tier divergences recorded so far.
-func (f *Fleet) Divergences() []core.TierDivergence { return f.divergences }
+func (f *Fleet) SharedEdges() int { return f.tiers[0].shared.Total() }
 
 // Quarantines returns the quarantine records so far, in supervision order.
 func (f *Fleet) Quarantines() []core.Quarantine { return f.quarantines }
@@ -327,13 +320,13 @@ func (f *Fleet) RequestStop() {
 }
 
 // SeedFrom pre-seeds the whole pool from a resumed campaign's persisted
-// state before Run: the delta's edges become pre-seen in the shared
+// state before Run: the delta's edges become pre-seen in the hardware
 // collector and every engine, its seeds join every corpus, and the cluster
 // keys are marked known so the previous run's findings are not re-reported.
 // The delta also joins the broadcast history, so spares promoted later
 // inherit the resumed corpus exactly like live discoveries.
 func (f *Fleet) SeedFrom(d core.SyncDelta, clusters []string) {
-	f.shared.Ingest(d.Edges)
+	f.tiers[0].shared.Ingest(d.Edges)
 	for _, e := range f.engines {
 		e.ImportSyncDelta(d)
 		e.MarkKnownClusters(clusters)
@@ -341,223 +334,142 @@ func (f *Fleet) SeedFrom(d core.SyncDelta, clusters []string) {
 	f.appendHistory(d)
 }
 
-// mannedCount returns how many shard slots currently have a board.
-func (f *Fleet) mannedCount() int {
-	n := 0
-	for _, b := range f.slots {
-		if b >= 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Run executes the campaign with the given total board-time budget, split
-// evenly across the shard slots: each slot fuzzes for total/Shards of
-// virtual board time, so the pool's wall-clock is total/Shards. Boards that
-// die mid-campaign are quarantined at the next epoch barrier and replaced
-// from the spare pool; Run only fails when every slot is unmanned (or on a
-// non-death engine error). Run may be called once.
+// evenly across the hardware slots: each slot fuzzes for total/Shards of
+// virtual board time, so the pool's wall-clock is total/Shards; emulation
+// shards run the same slices alongside. Boards that die mid-campaign are
+// quarantined at the next epoch barrier and replaced from the spare pool;
+// Run only fails when every hardware slot is unmanned (or on a non-death
+// engine error). Run may be called once.
 func (f *Fleet) Run(total time.Duration) (*core.Report, error) {
 	if f.ran {
 		return nil, fmt.Errorf("fleet: Run called twice")
 	}
 	f.ran = true
-	n := f.opts.Shards
-	shardBudget := total / time.Duration(n)
+	hw := f.tiers[0]
+	shardBudget := total / time.Duration(len(hw.slots))
 
-	// Provision and boot sequentially: board bring-up mutates no shared
-	// state, but a deterministic order keeps any setup-time failure and its
-	// quarantine/promotion handling stable.
-	for slot := 0; slot < n; slot++ {
-		if err := f.manSlot(slot); err != nil {
-			return nil, err
-		}
-	}
-	if f.mannedCount() == 0 {
-		f.flushJournal()
-		return nil, fmt.Errorf("fleet: every board died during setup: %w", core.ErrBoardDead)
-	}
-	// Bring up the emulation tier after the hardware pool. A VM that fails
-	// setup is quarantined like a dead board (the tier has no spares); any
-	// other error is campaign-fatal.
-	for j, b := range f.emulSlots {
-		f.active[b] = true
-		if err := f.engines[b].Setup(); err != nil {
-			if !errors.Is(err, core.ErrBoardDead) {
-				return nil, fmt.Errorf("fleet: emul shard %d setup: %w", j, err)
+	// Provision and boot sequentially, hardware first: board bring-up
+	// mutates no shared state, but a deterministic order keeps any
+	// setup-time failure and its quarantine/promotion handling stable.
+	for _, t := range f.tiers {
+		for slot := range t.slots {
+			if err := f.manSlot(t, slot); err != nil {
+				return nil, err
 			}
-			f.quarantineEmul(j, 0)
+		}
+		if hw.manned() == 0 {
+			f.flushJournal()
+			return nil, fmt.Errorf("fleet: every board died during setup: %w", core.ErrBoardDead)
 		}
 	}
 
-	var series, emulSeries []core.CoverSample
 	var elapsed time.Duration
 	epochs := 0
 	for remaining := shardBudget; remaining > 0; remaining -= f.opts.SyncEvery {
-		slice := f.opts.SyncEvery
-		if slice > remaining {
-			slice = remaining
-		}
-		// Run the epoch slice on every manned slot concurrently — hardware
-		// and emulation tiers alike. Each engine owns its board, link and
-		// RNG; the only shared state is a mutex-protected collector sink
-		// (one per tier), whose set union is order-independent.
-		occupants := make([]int, n)
-		copy(occupants, f.slots)
-		emulOcc := make([]int, len(f.emulSlots))
-		copy(emulOcc, f.emulSlots)
-		errs := make([]error, n)
-		emulErrs := make([]error, len(emulOcc))
+		slice := min(f.opts.SyncEvery, remaining)
+		// Run the epoch slice on every manned slot of every tier
+		// concurrently, then drain each board's feedback. Each engine owns
+		// its board, link and RNG; the only shared state is a
+		// mutex-protected collector sink per tier, whose set union is
+		// order-independent.
+		ep := make([]tierEpoch, len(f.tiers))
 		var wg sync.WaitGroup
-		for slot, b := range occupants {
-			if b < 0 {
-				continue
+		for i, t := range f.tiers {
+			ep[i].occ = append([]int(nil), t.slots...)
+			ep[i].errs = make([]error, len(t.slots))
+			ep[i].deltas = make([]core.SyncDelta, len(t.slots))
+			for slot, b := range ep[i].occ {
+				if b < 0 {
+					continue
+				}
+				wg.Add(1)
+				go func(e *core.Engine, errp *error, dp *core.SyncDelta) {
+					defer wg.Done()
+					*errp = e.RunFor(slice)
+					*dp = e.DrainSyncDelta()
+				}(f.engines[b], &ep[i].errs[slot], &ep[i].deltas[slot])
 			}
-			wg.Add(1)
-			go func(slot, b int) {
-				defer wg.Done()
-				errs[slot] = f.engines[b].RunFor(slice)
-			}(slot, b)
-		}
-		for j, b := range emulOcc {
-			if b < 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(j, b int) {
-				defer wg.Done()
-				emulErrs[j] = f.engines[b].RunFor(slice)
-			}(j, b)
 		}
 		wg.Wait()
 		// A dead board is the supervisor's job at the barrier below; any
 		// other engine error stays campaign-fatal.
-		died := make([]bool, n)
-		for slot, err := range errs {
-			if err == nil {
-				continue
+		for i, t := range f.tiers {
+			for slot, err := range ep[i].errs {
+				if err != nil && !errors.Is(err, core.ErrBoardDead) {
+					return nil, fmt.Errorf("fleet: %s shard %d: %w", t.class, slot, err)
+				}
 			}
-			if errors.Is(err, core.ErrBoardDead) {
-				died[slot] = true
-				continue
-			}
-			return nil, fmt.Errorf("fleet: shard %d: %w", slot, err)
-		}
-		emulDied := make([]bool, len(emulOcc))
-		for j, err := range emulErrs {
-			if err == nil {
-				continue
-			}
-			if errors.Is(err, core.ErrBoardDead) {
-				emulDied[j] = true
-				continue
-			}
-			return nil, fmt.Errorf("fleet: emul shard %d: %w", j, err)
 		}
 		elapsed += slice
 		epochs++
 
-		// Barrier: exchange feedback in fixed slot order so every board sees
-		// the same import sequence run to run. A dying board's final partial
-		// delta still broadcasts — its discoveries outlive it.
-		deltas := make([]core.SyncDelta, n)
-		for slot, b := range occupants {
-			if b < 0 {
-				continue
-			}
-			deltas[slot] = f.engines[b].DrainSyncDelta()
-			f.appendHistory(deltas[slot])
+		// Barrier: exchange feedback in fixed tier and slot order so every
+		// board sees the same import sequence run to run. A dying board's
+		// final partial delta still broadcasts — its discoveries outlive it.
+		// Feedback flows from hardware toward emulation and between siblings
+		// of a tier, never from emulation to hardware: the hardware corpus
+		// only sees emulation discoveries through a confirmed replay, so an
+		// emulation-only artifact cannot steer the ground-truth tier.
+		for _, d := range ep[0].deltas {
+			f.appendHistory(d)
 		}
-		for slot := range occupants {
-			for j, b := range occupants {
-				if j == slot || b < 0 || died[j] {
+		for i := range f.tiers {
+			for slot, b := range ep[i].occ {
+				if b < 0 || ep[i].errs[slot] != nil {
 					continue
 				}
-				f.engines[b].ImportSyncDelta(deltas[slot])
-			}
-		}
-		// Tier exchange: feedback flows hardware -> emulation and between
-		// emulation siblings, never emulation -> hardware. The hardware
-		// corpus only sees emulation discoveries through a confirmed replay,
-		// so an emulation-only artifact cannot steer the ground-truth tier.
-		emulDeltas := make([]core.SyncDelta, len(emulOcc))
-		for j, b := range emulOcc {
-			if b < 0 {
-				continue
-			}
-			emulDeltas[j] = f.engines[b].DrainSyncDelta()
-		}
-		for j, b := range emulOcc {
-			if b < 0 || emulDied[j] {
-				continue
-			}
-			e := f.engines[b]
-			for slot, ob := range occupants {
-				if ob < 0 {
-					continue
+				for _, src := range ep[:i+1] {
+					for k, ob := range src.occ {
+						if ob >= 0 && ob != b {
+							f.engines[b].ImportSyncDelta(src.deltas[k])
+						}
+					}
 				}
-				e.ImportSyncDelta(deltas[slot])
-			}
-			for k := range emulOcc {
-				if k == j || emulOcc[k] < 0 {
-					continue
-				}
-				e.ImportSyncDelta(emulDeltas[k])
 			}
 		}
 
-		// Supervise in slot order: journal the epoch for survivors,
-		// quarantine dead boards, retire the chronically sick (only when a
-		// spare is ready — a sick board still beats an empty slot), promote
-		// spares.
-		for slot, b := range occupants {
-			if b < 0 {
-				continue
-			}
-			e := f.engines[b]
-			if died[slot] {
-				if err := f.quarantine(slot, "dead", elapsed); err != nil {
-					return nil, err
+		// Supervise in tier and slot order: journal the epoch for survivors
+		// against their tier's collector, quarantine dead boards, retire the
+		// chronically sick (only when a spare is ready — a sick board still
+		// beats an empty slot), promote spares.
+		for i, t := range f.tiers {
+			for slot, b := range ep[i].occ {
+				if b < 0 {
+					continue
 				}
-				continue
-			}
-			e.Tracer().Emit(trace.Event{Kind: trace.SyncEpoch, Exec: epochs, Edges: f.shared.Total()})
-			if e.Health().Sick(f.sickThreshold) && len(f.spares) > 0 {
-				if err := f.quarantine(slot, "sick", elapsed); err != nil {
-					return nil, err
+				if ep[i].errs[slot] != nil {
+					if err := f.quarantine(t, slot, "dead", elapsed); err != nil {
+						return nil, err
+					}
+					continue
+				}
+				e := f.engines[b]
+				e.Tracer().Emit(trace.Event{Kind: trace.SyncEpoch, Exec: epochs, Edges: t.shared.Total()})
+				if e.Health().Sick(f.sickThreshold) && len(t.spares) > 0 {
+					if err := f.quarantine(t, slot, "sick", elapsed); err != nil {
+						return nil, err
+					}
 				}
 			}
 		}
-		// Supervise the emulation tier: journal the epoch against its own
-		// shared collector, quarantine dead VMs. No spares — a lost explore
-		// shard just narrows the tier.
-		for j, b := range emulOcc {
-			if b < 0 {
-				continue
+		for _, src := range ep[1:] {
+			if err := f.runConfirm(src.occ, elapsed); err != nil {
+				return nil, err
 			}
-			if emulDied[j] {
-				f.quarantineEmul(j, elapsed)
-				continue
-			}
-			f.engines[b].Tracer().Emit(trace.Event{Kind: trace.SyncEpoch, Exec: epochs, Edges: f.emulShared.Total()})
 		}
-		if err := f.runConfirm(emulOcc, elapsed); err != nil {
-			return nil, err
-		}
-		if err := f.runTriage(occupants); err != nil {
+		if err := f.runTriage(ep[0].occ); err != nil {
 			return nil, err
 		}
 		f.flushJournal()
-		if err := f.persistBarrier(epochs, elapsed, deltas); err != nil {
+		if err := f.persistBarrier(epochs, elapsed, ep[0].deltas); err != nil {
 			return nil, err
 		}
-		if f.mannedCount() == 0 {
+		if hw.manned() == 0 {
 			return nil, fmt.Errorf("fleet: every board dead after %v: %w", elapsed, core.ErrBoardDead)
 		}
-		series = append(series, core.CoverSample{At: elapsed, Edges: f.shared.Total()})
-		if f.emulShared != nil {
-			emulSeries = append(emulSeries, core.CoverSample{At: elapsed, Edges: f.emulShared.Total()})
+		for _, t := range f.tiers {
+			t.series = append(t.series, core.CoverSample{At: elapsed, Edges: t.shared.Total()})
 		}
 		if f.stop.Load() {
 			// Graceful shutdown: the barrier above already exchanged the last
@@ -566,7 +478,21 @@ func (f *Fleet) Run(total time.Duration) (*core.Report, error) {
 			break
 		}
 	}
-	return f.mergeReport(series, emulSeries), nil
+	return f.mergeReport(), nil
+}
+
+// Admissions converts a drained sync delta into the durable store's corpus
+// admissions, attributed to slot.
+func Admissions(d core.SyncDelta, slot int) ([]corpus.Admission, error) {
+	var out []corpus.Admission
+	for _, s := range d.Seeds {
+		blob, err := prog.ToJSON(s.P)
+		if err != nil {
+			return nil, fmt.Errorf("persist slot %d seed: %w", slot, err)
+		}
+		out = append(out, corpus.Admission{Prog: blob, NewEdges: s.NewEdges, Edges: s.Edges, Shard: slot})
+	}
+	return out, nil
 }
 
 // persistBarrier commits one completed epoch to the durable store: every
@@ -580,17 +506,14 @@ func (f *Fleet) persistBarrier(epoch int, elapsed time.Duration, deltas []core.S
 	if p == nil {
 		return nil
 	}
-	b := corpus.Barrier{Epoch: epoch, Elapsed: elapsed, Edges: f.shared.Edges()}
+	hw := f.tiers[0]
+	b := corpus.Barrier{Epoch: epoch, Elapsed: elapsed, Edges: hw.shared.Edges()}
 	for slot, d := range deltas {
-		for _, s := range d.Seeds {
-			blob, err := prog.ToJSON(s.P)
-			if err != nil {
-				return fmt.Errorf("fleet: persist slot %d seed: %w", slot, err)
-			}
-			b.Admissions = append(b.Admissions, corpus.Admission{
-				Prog: blob, NewEdges: s.NewEdges, Edges: s.Edges, Shard: slot,
-			})
+		adm, err := Admissions(d, slot)
+		if err != nil {
+			return fmt.Errorf("fleet: %w", err)
 		}
+		b.Admissions = append(b.Admissions, adm...)
 	}
 	clusters := make(map[string]bool)
 	for bd, e := range f.engines {
@@ -604,7 +527,7 @@ func (f *Fleet) persistBarrier(epoch int, elapsed time.Duration, deltas []core.S
 	for c := range clusters {
 		b.Clusters = append(b.Clusters, c)
 	}
-	for slot, bd := range f.slots {
+	for slot, bd := range hw.slots {
 		cur := corpus.ShardCursor{Shard: slot}
 		if bd >= 0 {
 			cur.Execs = f.engines[bd].Execs()
@@ -614,36 +537,32 @@ func (f *Fleet) persistBarrier(epoch int, elapsed time.Duration, deltas []core.S
 	return p.Barrier(b)
 }
 
-// manSlot performs initial bring-up of slot's board, quarantining setup-time
-// deaths and promoting spares until the slot is manned or the pool runs dry.
-func (f *Fleet) manSlot(slot int) error {
-	b := f.slots[slot]
+// manSlot performs initial bring-up of the board serving t's slot,
+// quarantining setup-time deaths and promoting spares until the slot is
+// manned or the tier's spare pool runs dry.
+func (f *Fleet) manSlot(t *tier, slot int) error {
+	b := t.slots[slot]
 	f.active[b] = true
 	err := f.engines[b].Setup()
 	if err == nil {
 		return nil
 	}
 	if !errors.Is(err, core.ErrBoardDead) {
-		return fmt.Errorf("fleet: shard %d setup: %w", slot, err)
+		return fmt.Errorf("fleet: %s shard %d setup: %w", t.class, slot, err)
 	}
-	return f.quarantine(slot, "dead", 0)
+	return f.quarantine(t, slot, "dead", 0)
 }
 
-// quarantine retires the board serving slot and promotes the next viable
-// spare into it. The retired board's buffered events (ending with its
-// quarantine event) flush ahead of the slot's next occupant, keeping the
-// journal deterministic.
-func (f *Fleet) quarantine(slot int, reason string, at time.Duration) error {
-	b := f.slots[slot]
-	e := f.engines[b]
-	e.Tracer().Emit(trace.Event{Kind: trace.Quarantine, Exec: slot, Reason: reason})
-	f.flushQueue[slot] = append(f.flushQueue[slot], b)
-	f.slots[slot] = -1
-	f.quarantines = append(f.quarantines, core.Quarantine{
-		Slot: slot, Board: b, Spare: -1, Reason: reason, At: at, Health: e.Health(),
-	})
+// quarantine retires the board serving t's slot and promotes the tier's
+// next viable spare into it. The retired board's buffered events (ending
+// with its quarantine event) flush ahead of the slot's next occupant,
+// keeping the journal deterministic.
+func (f *Fleet) quarantine(t *tier, slot int, reason string, at time.Duration) error {
+	b := t.slots[slot]
+	t.slots[slot] = -1
+	f.retire(t, slot, b, reason, at)
 	qi := len(f.quarantines) - 1
-	spare, err := f.promote(slot, at)
+	spare, err := f.promote(t, slot, at)
 	if err != nil {
 		return err
 	}
@@ -651,31 +570,41 @@ func (f *Fleet) quarantine(slot int, reason string, at time.Duration) error {
 	return nil
 }
 
-// promote mans slot with the next spare that survives bring-up, importing
-// the cumulative broadcast history so the newcomer starts from the fleet's
-// collective corpus. Returns -1 when the spare pool ran dry. A spare that is
-// dead on arrival earns its own quarantine record and the next one is tried.
-func (f *Fleet) promote(slot int, at time.Duration) (int, error) {
-	for len(f.spares) > 0 {
-		s := f.spares[0]
-		f.spares = f.spares[1:]
+// retire journals board b's quarantine from t's slot, queues its buffered
+// events to flush ahead of the slot's next occupant and records it.
+// Hardware quarantines leave the record's Tier empty.
+func (f *Fleet) retire(t *tier, slot, b int, reason string, at time.Duration) {
+	e := f.engines[b]
+	e.Tracer().Emit(trace.Event{Kind: trace.Quarantine, Exec: slot, Reason: reason})
+	t.flushQueue[slot] = append(t.flushQueue[slot], b)
+	q := core.Quarantine{Slot: slot, Board: b, Spare: -1, Reason: reason, At: at, Health: e.Health()}
+	if t.class != backend.HW {
+		q.Tier = t.class.String()
+	}
+	f.quarantines = append(f.quarantines, q)
+}
+
+// promote mans t's slot with the next spare that survives bring-up,
+// importing the cumulative broadcast history so the newcomer starts from the
+// fleet's collective corpus. Returns -1 when the spare pool ran dry. A spare
+// that is dead on arrival earns its own quarantine record and the next one
+// is tried.
+func (f *Fleet) promote(t *tier, slot int, at time.Duration) (int, error) {
+	for len(t.spares) > 0 {
+		s := t.spares[0]
+		t.spares = t.spares[1:]
 		e := f.engines[s]
 		f.active[s] = true
 		if err := e.Setup(); err != nil {
 			if !errors.Is(err, core.ErrBoardDead) {
 				return -1, fmt.Errorf("fleet: spare %d setup: %w", s, err)
 			}
-			e.Tracer().Emit(trace.Event{Kind: trace.Quarantine, Exec: slot, Reason: "dead"})
-			f.flushQueue[slot] = append(f.flushQueue[slot], s)
-			f.quarantines = append(f.quarantines, core.Quarantine{
-				Slot: slot, Board: s, Spare: -1, Reason: "dead", At: at, Health: e.Health(),
-			})
+			f.retire(t, slot, s, "dead", at)
 			continue
 		}
-		f.setFocus(e, slot)
 		e.ImportSyncDelta(f.history)
 		e.Tracer().Emit(trace.Event{Kind: trace.SparePromote, Exec: slot, Edges: len(f.history.Edges)})
-		f.slots[slot] = s
+		t.slots[slot] = s
 		return s, nil
 	}
 	return -1, nil
@@ -719,26 +648,13 @@ func (f *Fleet) runTriage(occupants []int) error {
 	return nil
 }
 
-// quarantineEmul retires emulation shard j. The tier has no spares, so the
-// slot stays unmanned; the shard's buffered events (ending with its
-// quarantine) flush with the tier at the barrier.
-func (f *Fleet) quarantineEmul(j int, at time.Duration) {
-	b := f.emulSlots[j]
-	e := f.engines[b]
-	e.Tracer().Emit(trace.Event{Kind: trace.Quarantine, Exec: j, Reason: "dead"})
-	f.emulSlots[j] = -1
-	f.quarantines = append(f.quarantines, core.Quarantine{
-		Slot: j, Board: b, Spare: -1, Reason: "dead", At: at, Health: e.Health(), Tier: "emul",
-	})
-}
-
-// runConfirm drains every emulation shard's confirmation queue, in tier-slot
-// order, and replays each item on the hardware pool round-robin (the cursor
-// persists across barriers so replay load spreads evenly). Dead emulation
-// shards still appear in emulOcc, so a dying shard's last findings are
-// confirmed too.
-func (f *Fleet) runConfirm(emulOcc []int, at time.Duration) error {
-	for _, b := range emulOcc {
+// runConfirm drains the confirmation queue of every board in occ (one
+// emulation tier's epoch occupants), in slot order, and replays each item on
+// the hardware pool round-robin (the cursor persists across barriers so
+// replay load spreads evenly). Dead emulation shards still appear in occ, so
+// a dying shard's last findings are confirmed too.
+func (f *Fleet) runConfirm(occ []int, at time.Duration) error {
+	for _, b := range occ {
 		if b < 0 {
 			continue
 		}
@@ -761,11 +677,11 @@ func (f *Fleet) confirmOne(src int, item core.ConfirmItem, at time.Duration) err
 		if slot < 0 {
 			return fmt.Errorf("fleet: every hardware board dead during confirmation: %w", core.ErrBoardDead)
 		}
-		e := f.engines[f.slots[slot]]
+		e := f.engines[f.tiers[0].slots[slot]]
 		res, err := e.ConfirmProg(item.P)
 		if err != nil {
 			if errors.Is(err, core.ErrBoardDead) {
-				if qerr := f.quarantine(slot, "dead", at); qerr != nil {
+				if qerr := f.quarantine(f.tiers[0], slot, "dead", at); qerr != nil {
 					return qerr
 				}
 				continue
@@ -780,10 +696,11 @@ func (f *Fleet) confirmOne(src int, item core.ConfirmItem, at time.Duration) err
 // nextConfirmSlot returns the next manned hardware slot in round-robin
 // order, or -1 when every slot is unmanned.
 func (f *Fleet) nextConfirmSlot() int {
-	n := f.opts.Shards
+	slots := f.tiers[0].slots
+	n := len(slots)
 	for i := 0; i < n; i++ {
 		slot := (f.confirmNext + i) % n
-		if f.slots[slot] >= 0 {
+		if slots[slot] >= 0 {
 			f.confirmNext = (slot + 1) % n
 			return slot
 		}
@@ -864,33 +781,31 @@ func (f *Fleet) appendHistory(d core.SyncDelta) {
 	f.history.Rewards = append(f.history.Rewards, d.Rewards...)
 }
 
-// flushJournal drains buffered events into the campaign journal in slot
-// order: first each slot's retired boards (their streams end with the
-// quarantine event), then the slot's current occupant. Supervision happens
-// in slot order before the flush, so the merged stream is identical run to
-// run.
+// flushJournal drains buffered events into the campaign journal in tier and
+// slot order: for each slot, first its retired boards (their streams end with
+// the quarantine event), then its current occupant. The triage board's
+// events, all produced at the barrier after every shard's slice, close the
+// hardware tier; appending the emulation tier after it keeps the hardware
+// prefix of a tiered journal identical to the untiered journal. Supervision
+// happens in the same order before the flush, so the merged stream is
+// identical run to run.
 func (f *Fleet) flushJournal() {
 	if f.journal == nil {
 		return
 	}
-	for slot := 0; slot < f.opts.Shards; slot++ {
-		for _, b := range f.flushQueue[slot] {
-			f.flushBuffer(b)
+	for _, t := range f.tiers {
+		for slot, b := range t.slots {
+			for _, r := range t.flushQueue[slot] {
+				f.flushBuffer(r)
+			}
+			t.flushQueue[slot] = nil
+			if b >= 0 {
+				f.flushBuffer(b)
+			}
 		}
-		f.flushQueue[slot] = nil
-		if b := f.slots[slot]; b >= 0 {
-			f.flushBuffer(b)
+		if t == f.tiers[0] && f.triageIdx >= 0 {
+			f.flushBuffer(f.triageIdx)
 		}
-	}
-	// The triage board's events (all produced at the barrier, after every
-	// shard's slice) flush next, then the emulation tier in slot order —
-	// appending the tier's streams keeps the hardware prefix of a tiered
-	// journal identical to the untiered journal.
-	if f.triageIdx >= 0 {
-		f.flushBuffer(f.triageIdx)
-	}
-	for _, b := range f.emulIdx {
-		f.flushBuffer(b)
 	}
 }
 
@@ -917,37 +832,23 @@ func (f *Fleet) ShardReports() []*core.Report { return f.shardReports }
 // bucket; afterwards every activated board's TimeBy sums to the pool
 // Duration and the merged TimeBy sums to activated-boards x Duration. The
 // merged Health is the pool's sickest board; BoardHealth and Quarantines
-// carry the full story.
-func (f *Fleet) mergeReport(series, emulSeries []core.CoverSample) *core.Report {
+// carry the full story. A tiered fleet also reports one TierStats per tier.
+func (f *Fleet) mergeReport() *core.Report {
+	hw := f.tiers[0]
 	out := &core.Report{
-		Series: series, Edges: f.shared.Total(),
+		Series: hw.series, Edges: hw.shared.Total(),
 		Quarantines: f.quarantines, Divergences: f.divergences,
 	}
-	tiered := len(f.emulIdx) > 0
-	emulStart := len(f.engines)
-	if tiered {
-		emulStart = f.emulIdx[0]
-	}
-	hwTier := core.TierStats{Class: backend.HW.String(), Edges: f.shared.Total(), Confirmed: f.confirmed, Diverged: f.diverged}
-	emTier := core.TierStats{Class: backend.Emul.String()}
-	if tiered {
-		emTier.Edges = f.emulShared.Total()
-		hwTier.Series = series
-		emTier.Series = emulSeries
-	}
 	seen := make(map[string]bool)
+	reps := make([]*core.Report, len(f.engines)) // nil for boards never activated
 	f.shardReports = f.shardReports[:0]
-	var emul []bool // aligned with shardReports
 	for b, e := range f.engines {
 		if !f.active[b] {
 			continue
 		}
 		r := e.Report()
+		reps[b] = r
 		f.shardReports = append(f.shardReports, r)
-		emul = append(emul, b >= emulStart)
-		if b < emulStart {
-			out.OS, out.Board = r.OS, r.Board
-		}
 		out.Stats.Merge(r.Stats)
 		out.BoardHealth = append(out.BoardHealth, r.Health)
 		if len(f.shardReports) == 1 || healthWorse(r.Health, out.Health) {
@@ -974,35 +875,41 @@ func (f *Fleet) mergeReport(series, emulSeries []core.CoverSample) *core.Report 
 			out.Duration = r.Duration
 		}
 	}
-	for i, r := range f.shardReports {
+	for _, r := range f.shardReports {
 		r.TimeBy.SyncBarrier += out.Duration - r.Duration
 		out.TimeBy.Merge(r.TimeBy)
-		if emul[i] {
-			emTier.Boards++
-			emTier.Execs += r.Stats.Execs
-			emTier.TimeBy.Merge(r.TimeBy)
-		} else {
-			hwTier.Boards++
-			hwTier.Execs += r.Stats.Execs
-			hwTier.ConfirmReplays += r.Stats.ConfirmReplays
-			hwTier.TimeBy.Merge(r.TimeBy)
-		}
 	}
-	if tiered {
-		out.Tiers = []core.TierStats{hwTier, emTier}
+	for _, t := range f.tiers {
+		ts := core.TierStats{Class: t.class.String(), Edges: t.shared.Total(), Series: t.series}
+		for _, b := range t.boards {
+			r := reps[b]
+			if r == nil {
+				continue
+			}
+			if t == hw {
+				out.OS, out.Board = r.OS, r.Board
+			}
+			ts.Boards++
+			ts.Execs += r.Stats.Execs
+			ts.ConfirmReplays += r.Stats.ConfirmReplays
+			ts.TimeBy.Merge(r.TimeBy)
+		}
+		out.Tiers = append(out.Tiers, ts)
+	}
+	if len(out.Tiers) == 1 {
+		out.Tiers = nil
+	} else {
+		out.Tiers[0].Confirmed, out.Tiers[0].Diverged = f.confirmed, f.diverged
 	}
 	// Journal each activated board's final time budget now that barrier-idle
 	// time is attributed (every shard's buckets sum to the pool Duration), then
 	// drain the buffers one last time. The last barrier already flushed the
 	// per-slot queues, so a straight physical-order pass over the activated
 	// boards is deterministic.
-	i := 0
 	for b, e := range f.engines {
-		if !f.active[b] {
-			continue
+		if r := reps[b]; r != nil {
+			e.EmitTimeBudget(r.TimeBy, out.Duration)
 		}
-		e.EmitTimeBudget(f.shardReports[i].TimeBy, out.Duration)
-		i++
 	}
 	if f.journal != nil {
 		for b := range f.engines {

@@ -89,7 +89,7 @@ func TestTieredFleetConfirmsEveryEmulationFinding(t *testing.T) {
 		t.Fatalf("emulation tier billed confirming time: %v", em.TimeBy.Confirming)
 	}
 
-	ev := splitTieredEvents(buf.Events(), f.emulIdx[0])
+	ev := splitTieredEvents(buf.Events(), f.tiers[1].boards[0])
 	if ev.emulCorpusAdds == 0 {
 		t.Fatal("emulation tier admitted nothing — campaign too short to exercise confirmation")
 	}
@@ -116,7 +116,7 @@ func TestTieredFleetConfirmsEveryEmulationFinding(t *testing.T) {
 		default:
 			t.Fatalf("unknown divergence kind %q", d.Kind)
 		}
-		if d.Prog == "" || d.Shard < f.emulIdx[0] {
+		if d.Prog == "" || d.Shard < f.tiers[1].boards[0] {
 			t.Fatalf("divergence missing provenance: %+v", d)
 		}
 	}

@@ -389,7 +389,8 @@ func decodeSpec(raw json.RawMessage) (eof.Options, int, error) {
 	if opts.MetricsAddr != "" {
 		return opts, 0, badRequestf("options.MetricsAddr is daemon-managed")
 	}
-	return opts, footprintOf(opts), nil
+	hardware, _ := eof.Footprint(opts)
+	return opts, hardware, nil
 }
 
 func contains(xs []string, x string) bool {
@@ -399,28 +400,6 @@ func contains(xs []string, x string) bool {
 		}
 	}
 	return false
-}
-
-// footprintOf is the hardware boards a spec occupies while running:
-// shards, hot spares, and the fleet triage board when manned. Emulation
-// shards run on compute, not pool hardware.
-func footprintOf(o eof.Options) int {
-	shards := o.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	emul := 0
-	if o.Tiers {
-		emul = o.EmulShards
-		if emul <= 0 {
-			emul = 4
-		}
-	}
-	n := shards + o.Spares
-	if o.Triage && (shards > 1 || emul > 0) {
-		n++
-	}
-	return n
 }
 
 // Kick starts every queued job the scheduler grants boards to. Called
@@ -485,22 +464,6 @@ func (s *Server) hubOf(id string) (*hub, error) {
 	return h, nil
 }
 
-// storeHasCheckpoint reports whether a job's namespaced store already
-// committed a checkpoint — the resume decision for the next slice.
-func (s *Server) storeHasCheckpoint(id string, o eof.Options) bool {
-	board := o.Board
-	if board == "" {
-		board = boards.NameSTM32H745
-	}
-	ck := filepath.Join(s.opts.DataDir, "corpus", "ns", id, o.OS, board, "checkpoint.json")
-	if _, err := os.Stat(ck); err == nil {
-		return true
-	}
-	ck = filepath.Join(s.opts.DataDir, "corpus", "ns", id, o.OS, board, "checkpoint.prev.json")
-	_, err := os.Stat(ck)
-	return err == nil
-}
-
 // runJob owns one scheduling grant: it runs campaign slices of at most
 // one quantum of board time, each ending at an epoch barrier with a
 // durable checkpoint, until the budget is exhausted, the scheduler
@@ -544,7 +507,7 @@ func (s *Server) runJob(id string) {
 		}
 		opts.CorpusDir = filepath.Join(s.opts.DataDir, "corpus")
 		opts.CorpusNamespace = id
-		opts.Resume = s.storeHasCheckpoint(id, opts)
+		opts.Resume = eof.HasCheckpoint(opts)
 		opts.TraceJSONL = h
 		opts.StatusEvery = 0
 		opts.MetricsAddr = ""

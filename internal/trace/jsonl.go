@@ -33,8 +33,9 @@ type Header struct {
 	OS    string `json:"os"`
 	Board string `json:"board"`
 	Seed  int64  `json:"seed"`
-	// Shards, Spares, Triage and EmulShards describe the board topology; the
-	// emulation tier's physical indices start at Shards+Spares(+1 if Triage).
+	// Shards, Spares, Triage and EmulShards describe the board topology:
+	// physical indices run shards first, then spares, then the triage board,
+	// then the emulation tier (see HardwareBoards and EmulStart).
 	Shards     int  `json:"shards"`
 	Spares     int  `json:"spares,omitempty"`
 	Triage     bool `json:"triage,omitempty"`
@@ -45,17 +46,24 @@ type Header struct {
 	Digest string `json:"digest,omitempty"`
 }
 
+// HardwareBoards returns how many physical boards precede the emulation
+// tier: the shards, the spares and, when Triage is set, the triage board
+// (index HardwareBoards()-1).
+func (h Header) HardwareBoards() int {
+	n := h.Shards + h.Spares
+	if h.Triage {
+		n++
+	}
+	return n
+}
+
 // EmulStart returns the physical board index where the emulation tier begins,
 // or -1 for an untiered campaign.
 func (h Header) EmulStart() int {
 	if h.EmulShards <= 0 {
 		return -1
 	}
-	start := h.Shards + h.Spares
-	if h.Triage {
-		start++
-	}
-	return start
+	return h.HardwareBoards()
 }
 
 // ParseHeader decodes a journal header line. It returns an error when the
