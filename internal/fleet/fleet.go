@@ -227,7 +227,7 @@ func New(cfg core.Config, opts Options) (*Fleet, error) {
 	}
 	hw := &tier{class: backend.HW, shared: cov.NewCollector()}
 	f.tiers = []*tier{hw}
-	emul := hw
+	var emul *tier
 	if lay.EmulShards > 0 {
 		emul = &tier{class: backend.Emul, shared: cov.NewCollector()}
 		f.tiers = append(f.tiers, emul)
@@ -261,6 +261,7 @@ func New(cfg core.Config, opts Options) (*Fleet, error) {
 			scfg.LinkFaults = link.FaultConfig{}
 			scfg.Degrade = board.DegradeConfig{}
 		case i == f.triageIdx:
+			// The triage board serves no slot; barriers drain onto it.
 		case i < lay.Shards:
 			hw.slots = append(hw.slots, i)
 		default:
